@@ -1,6 +1,6 @@
 """Which library functions the traced run wraps, the counters recorded at
 those boundaries, and the per-layer metrics computed from the spans of one
-traced round (one set-up plus one iteration)."""
+traced round (one set-up, one training step and one evaluation step)."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload vc-train --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload compare-baselines --seed 1 --seconds 56 --trace 0
 
 Workloads, metrics and bounds are declared in BENCHMARK.json at the
 repository root; perfbench/NOTES.md says why each workload exists and which
@@ -10,16 +10,17 @@ end-to-end metric each layer should move.  The library is imported from
 ``src/`` next to this directory, so the benchmark measures the checkout it
 sits in.
 
-With ``--trace 0`` the run sets up the workload several times (the median
-is ``setup_s``), then repeats the workload's iteration while one more still
-fits in ``--seconds`` and reports medians over the iterations.  With
-``--trace 1`` it alternates untraced and traced rounds (set-up plus one
-iteration) in the same way, reports
-the per-layer metrics of the traced rounds and the tracing overhead, and
-writes every span to ``.perfbench_work/traces/``.  The last line of
-standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``; the lines before it are a
-readable report.
+With ``--trace 0`` the run alternates training steps (every job of the
+workload trained once) and evaluation steps (every trained model
+checkpointed, embedded, clustered and scored) while the next still fits in
+``--seconds``, sets the workload up a few times before each step, and
+reports medians over the set-ups and the steps.  With ``--trace 1`` it
+alternates untraced and traced rounds (set-up, one training step and one
+evaluation step) while one more fits, reports the per-layer metrics of the
+traced rounds and the tracing overhead, and writes every span to
+``.perfbench_work/traces/``.  The last line of standard output is one
+JSON object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``; the lines before it are a readable report.
 """
 
 import os
@@ -52,7 +53,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SPEC = ROOT / "BENCHMARK.json"
 WORK = ROOT / ".perfbench_work"
-SETUP_REPEATS = 9
+# Timed set-ups before each measured step; setup_s is their median.
+SETUPS_PER_STEP = 3
+# Evaluation time after each training step, as a share of that step's time.
+EVAL_SHARE = 1 / 3
 
 
 def load_spec() -> dict:
@@ -132,55 +136,77 @@ def _spread(values) -> str:
 
 
 def more_time(start: float, durations, seconds: float) -> bool:
-    """Whether one more repetition, as long as the median one so far, still
-    ends within ``seconds`` of ``start``; the first repetition always runs."""
+    """Whether one more repetition, as long as the median of the (non-empty)
+    ``durations`` so far, still ends within ``seconds`` of ``start``."""
     return time.perf_counter() - start + statistics.median(durations) <= seconds
 
 
 def run_untraced(runner, seconds: float):
-    """Returns (metrics, report lines) or None when nothing succeeded."""
+    """Returns (metrics, report lines) or None when nothing succeeded.
+
+    Each training step is followed by evaluation steps that take about
+    ``EVAL_SHARE`` of its time (at least one), so both kinds of step are
+    sampled across the whole run; the run ends when the next step would
+    end after ``seconds``.  Every step is preceded by ``SETUPS_PER_STEP``
+    timed set-ups."""
     setup_times = []
     state = None
-    for _ in range(SETUP_REPEATS):
+
+    def set_up():
+        nonlocal state
+        for _ in range(SETUPS_PER_STEP):
+            t0 = time.perf_counter()
+            new_state = runner.setup()
+            if new_state is not None:
+                setup_times.append(time.perf_counter() - t0)
+                state = new_state
+        return state is not None
+
+    models, quality = {}, {}
+    rates = {"train": [], "eval": []}
+    durations = {"train": [], "eval": []}
+
+    def step(kind):
         t0 = time.perf_counter()
-        new_state = runner.setup()
-        if new_state is not None:
-            setup_times.append(time.perf_counter() - t0)
-            state = new_state
-    if state is None:
-        return None
-    iterations, durations = [], []
+        if kind == "train":
+            busy_s, items = runner.train_step(state, models)
+        else:
+            busy_s, items = runner.eval_step(state, models, quality)
+        durations[kind].append(time.perf_counter() - t0)
+        if items:
+            rates[kind].append(items / busy_s)
+        return durations[kind][-1]
+
     start = time.perf_counter()
-    while True:
-        t0 = time.perf_counter()
-        it = runner.iterate(state)
-        durations.append(time.perf_counter() - t0)
-        if it["train_items"] and it["eval_items"]:
-            iterations.append(it)
-        if not more_time(start, durations, seconds):
+    while not durations["train"] or more_time(start, durations["train"], seconds):
+        if not set_up():
             break
-    if not iterations:
+        train_s = step("train")
+        eval_s = 0.0
+        while eval_s == 0.0 or eval_s < EVAL_SHARE * train_s:
+            if durations["eval"] and not more_time(start, durations["eval"], seconds):
+                break
+            set_up()
+            eval_s += step("eval")
+    headline = quality.get(runner.workload.jobs[0].method)
+    if not (rates["train"] and rates["eval"] and headline):
         return None
-    train_rates = [it["train_items"] / it["train_s"] for it in iterations]
-    eval_rates = [it["eval_items"] / it["eval_s"] for it in iterations]
-    jobs = iterations[0]["jobs"]
-    headline = jobs[runner.workload.jobs[0].method]
     metrics = {
         "setup_s": statistics.median(setup_times),
-        "train_samples_per_s": statistics.median(train_rates),
-        "eval_tracks_per_s": statistics.median(eval_rates),
+        "train_samples_per_s": statistics.median(rates["train"]),
+        "eval_tracks_per_s": statistics.median(rates["eval"]),
         "peak_rss_mb": peak_rss_mb(),
         "nmi": headline["nmi"],
         "wcp": headline["wcp"],
     }
     lines = [
         f"setup_s              {_spread(setup_times)}",
-        f"train_samples_per_s  {_spread(train_rates)}",
-        f"eval_tracks_per_s    {_spread(eval_rates)}",
+        f"train_samples_per_s  {_spread(rates['train'])}",
+        f"eval_tracks_per_s    {_spread(rates['eval'])}",
         "quality per trained model (nmi, wcp: known-k clustering; c_dif: threshold stop;"
         " sdbw: known-k clustering; final_loss: last-epoch mean loss):",
     ]
-    for method, q in jobs.items():
+    for method, q in quality.items():
         lines.append(
             f"  {method:<6} final_loss {q['final_loss']!r} - | nmi {q['nmi']!r} - | "
             f"wcp {q['wcp']!r} - | c_dif {q['c_dif']} clusters | sdbw {q['sdbw']!r} -"

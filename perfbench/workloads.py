@@ -1,12 +1,12 @@
-"""Benchmark workloads: inputs made from a seed, set-up, one measured
-iteration and the checks on its outputs.
+"""Benchmark workloads: inputs made from a seed, set-up, the measured
+training and evaluation steps and the checks on their outputs.
 
-One iteration trains every job of the workload, then, per trained model,
-round-trips it through a checkpoint, embeds every track of the video,
-clusters the representations with average-linkage HAC (known k and a
-threshold stop) and scores the clustering.  The library is always reached
-through module attributes at call time, so a tracer that patches those
-attributes sees every call.
+A training step trains every job of the workload once.  An evaluation
+step, per trained model, round-trips it through a checkpoint, embeds every
+track of the video, clusters the representations with average-linkage HAC
+(known k and a threshold stop) and scores the clustering.  The library is
+always reached through module attributes at call time, so a tracer that
+patches those attributes sees every call.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ THRESHOLD_FRACTION = 0.5
 class Job:
     method: str  # "vc", "ct" (clip-level transformer) or "tsiam" (frame MLP)
     epochs: int
+    clip_cap: int = 90
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class Workload:
     min_length: int
     max_length: int
     jobs: tuple[Job, ...]
-    # Evaluations of each trained model per iteration; cheap evaluations
-    # are repeated so that each iteration times a few hundred milliseconds.
+    # Evaluations of each trained model per evaluation step; cheap
+    # evaluations are repeated so that a step times about a second.
     eval_repeats: int
     # Train on this many earliest-starting tracks; None trains on all.
     window: int | None = None
@@ -58,8 +59,10 @@ WORKLOADS = {
     w.name: w
     for w in (
         Workload("vc-train", 5, 20, 5, 40, (Job("vc", 4),), eval_repeats=10),
-        Workload("cluster-long-video", 10, 100, 5, 120, (Job("vc", 4),), eval_repeats=1,
-                 window=100),
+        # Clips of the training window are capped at 40 frames, so that a
+        # training step takes a few seconds and a run holds several.
+        Workload("cluster-long-video", 10, 100, 5, 120, (Job("vc", 4, clip_cap=40),),
+                 eval_repeats=1, window=100),
         Workload("compare-baselines", 5, 20, 5, 40, (Job("ct", 4), Job("tsiam", 40)),
                  eval_repeats=8),
     )
@@ -86,6 +89,7 @@ def _check(ok: bool, message: str) -> None:
 def train_config(job: Job, seed: int) -> vcl.TrainConfig:
     return vcl.TrainConfig(
         epochs=job.epochs,
+        clip_cap=job.clip_cap,
         warmup_epochs=max(1, round(job.epochs * 4 / 9)),
         centre_recompute_interval=CENTRE_RECOMPUTE_INTERVAL,
         seed=seed,
@@ -175,32 +179,51 @@ class Runner:
             _check(np.all(np.isfinite(centres.centres)), "non-finite initial centres")
         return State(video, train_set, train_links, config)
 
-    def iterate(self, state: State) -> dict:
-        """Train every job, then evaluate each trained model
-        ``eval_repeats`` times.
+    def train_step(self, state: State, models: dict) -> tuple[float, int]:
+        """Train every job once; each trained model replaces the job's entry
+        in ``models`` (method -> (params, per-epoch losses)).
 
-        Returns wall times and work counts of the training calls and the
-        evaluations that succeeded, and per job its last loss and quality."""
-        out = {"train_s": 0.0, "train_items": 0, "eval_s": 0.0, "eval_items": 0, "jobs": {}}
+        Returns the wall time and the samples or pairs of the training calls
+        that succeeded."""
+        train_s, items = 0.0, 0
         for job in self.workload.jobs:
             with self._phase("bench.train"):
                 trained = self._op(f"train {job.method}", lambda: self._train(state, job))
-            if trained is None:
+            if trained is not None:
+                params, seconds, count, losses = trained
+                models[job.method] = (params, losses)
+                train_s += seconds
+                items += count
+        return train_s, items
+
+    def eval_step(self, state: State, models: dict, quality: dict) -> tuple[float, int]:
+        """Evaluate each model in ``models`` ``eval_repeats`` times; the last
+        loss and clustering quality of each go to ``quality`` (method -> dict).
+
+        Returns the wall time and the tracks of the evaluations that
+        succeeded."""
+        eval_s, tracks = 0.0, 0
+        for job in self.workload.jobs:
+            if job.method not in models:
                 continue
-            params, train_s, items, losses = trained
-            out["train_s"] += train_s
-            out["train_items"] += items
+            params, losses = models[job.method]
             for _ in range(self.workload.eval_repeats):
                 with self._phase("bench.eval"):
                     evaluated = self._op(
                         f"eval {job.method}", lambda: self._evaluate(state, job, params)
                     )
                 if evaluated is not None:
-                    eval_s, tracks, quality = evaluated
-                    out["eval_s"] += eval_s
-                    out["eval_items"] += tracks
-                    out["jobs"][job.method] = dict(final_loss=losses[-1], **quality)
-        return out
+                    seconds, count, scores = evaluated
+                    eval_s += seconds
+                    tracks += count
+                    quality[job.method] = dict(final_loss=losses[-1], **scores)
+        return eval_s, tracks
+
+    def iterate(self, state: State) -> None:
+        """One training step, then one evaluation step of its models."""
+        models: dict = {}
+        self.train_step(state, models)
+        self.eval_step(state, models, {})
 
     def _train(self, state: State, job: Job):
         cfg = train_config(job, self.seed)
