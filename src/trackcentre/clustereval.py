@@ -1,7 +1,10 @@
 """Hierarchical agglomerative clustering and clustering quality metrics.
 
 HAC supports single/complete/average linkage over Euclidean distances with
-two stopping rules: a known cluster count, or a merge-height threshold.
+two stopping rules: a known cluster count, or a merge-height threshold.  It
+keeps one M x M distance matrix (O(M^2) memory) with a cached nearest
+neighbour per row, updated by Lance-Williams after each merge; equal-height
+candidates merge lowest (a, b) pair first.
 Metrics: NMI (arithmetic normalisation, natural logs), weighted clustering
 purity, cluster-count difference, and the S-Dbw internal validity index.
 """
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LINKAGES = ("single", "complete", "average")
+# Elements of the per-block difference tensor built by _distance_matrix.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 class ClusterError(Exception):
@@ -41,11 +46,36 @@ class ClusterAssignment:
         return np.asarray(self.labels, dtype=np.int64)
 
 
+def _distance_matrix(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x``, infinite on the
+    diagonal.  Built a block of rows at a time, so the temporary difference
+    tensor stays small; each entry is the same ``sqrt(sum(diff**2))``
+    reduction as a full broadcast would compute."""
+    m, dim = x.shape
+    dist = np.empty((m, m))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, m * dim))
+    with np.errstate(over="ignore"):  # overflow is reported just below
+        for r0 in range(0, m, rows):
+            diff = x[r0 : r0 + rows, None, :] - x[None, :, :]
+            dist[r0 : r0 + rows] = np.sqrt((diff**2).sum(axis=-1))
+    if not np.all(np.isfinite(dist)):
+        raise ClusterError("pairwise distances overflow float64")
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
 def hac(vectors, linkage: str = "average", stop=None) -> ClusterAssignment:
     """Agglomerative clustering of row vectors under Euclidean distance.
 
-    Ties between equal-height merge candidates are broken by the lowest
-    (min_index_a, min_index_b) pair so results are deterministic.
+    Each merge joins the closest pair of clusters; ties between
+    equal-height candidates are broken by the lowest
+    (min_index_a, min_index_b) pair so results are deterministic.  Cluster
+    distances follow the Lance-Williams update of the chosen linkage.
+
+    The distance matrix is the only O(M^2) structure.  Every row i caches
+    its minimum over columns j > i and the first column attaining it, so a
+    merge reads the M row minima, updates two rows and rescans only the
+    rows whose cached neighbour was one of the merged clusters.
     """
     if linkage not in LINKAGES:
         raise ClusterError(f"unknown linkage {linkage!r}")
@@ -54,6 +84,8 @@ def hac(vectors, linkage: str = "average", stop=None) -> ClusterAssignment:
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ClusterError("need a non-empty 2-D array of vectors")
+    if not np.all(np.isfinite(x)):
+        raise ClusterError("non-finite values in vectors")
     m = x.shape[0]
     if isinstance(stop, KnownK):
         if not (1 <= stop.k <= m):
@@ -64,38 +96,61 @@ def hac(vectors, linkage: str = "average", stop=None) -> ClusterAssignment:
     else:
         raise ClusterError(f"unsupported stop criterion {stop!r}")
 
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)
+    # Inactive clusters hold inf in their row and column.  All active
+    # distances are finite, so the closest pair is always an active one.
+    d = _distance_matrix(x)
+    # near[i]: first column j > i attaining near_d[i] = min_{j>i} d[i, j];
+    # -1 (with near_d inf) for the last row and for inactive rows.
+    near = np.full(m, -1, dtype=np.int64)
+    near_d = np.full(m, np.inf)
+
+    def rescan(i: int) -> None:
+        j = int(d[i, i + 1 :].argmin())
+        near[i] = i + 1 + j
+        near_d[i] = d[i, i + 1 + j]
+
+    for i in range(m - 1):
+        rescan(i)
 
     # Active clusters: representative = smallest member index.
     members: dict[int, list[int]] = {i: [i] for i in range(m)}
-    d = dist.copy()
     merges: list[tuple[float, int, int]] = []
 
     while len(members) > target_k:
-        h = d.min()
-        ties = np.argwhere(d == h)
-        ties = ties[ties[:, 0] < ties[:, 1]]
-        a, b = min((int(r), int(c)) for r, c in ties)
+        # The first row attaining the global minimum, and its first column,
+        # give the lowest (a, b) among equal-height pairs.
+        a = int(near_d.argmin())
+        b = int(near[a])
+        h = near_d[a]
         if threshold is not None and h > threshold:
             break
         merges.append((float(h), a, b))
         na, nb = len(members[a]), len(members[b])
-        for c in members:
-            if c in (a, b):
-                continue
-            if linkage == "single":
-                nd = min(d[a, c], d[b, c])
-            elif linkage == "complete":
-                nd = max(d[a, c], d[b, c])
-            else:
-                nd = (na * d[a, c] + nb * d[b, c]) / (na + nb)
-            d[a, c] = d[c, a] = nd
-        members[a].extend(members[b])
-        del members[b]
+        if linkage == "single":
+            nd = np.minimum(d[a], d[b])
+        elif linkage == "complete":
+            nd = np.maximum(d[a], d[b])
+        else:
+            nd = (na * d[a] + nb * d[b]) / (na + nb)
+        nd[a] = nd[b] = np.inf
+        d[a, :] = nd
+        d[:, a] = nd
         d[b, :] = np.inf
         d[:, b] = np.inf
+        members[a].extend(members[b])
+        del members[b]
+        near[b] = -1
+        near_d[b] = np.inf
+
+        # Rows above a whose neighbour survives see one changed entry,
+        # d[c, a]; it takes over when lower, or equal at a lower column.
+        col = nd[:a]
+        take = (col < near_d[:a]) | ((col == near_d[:a]) & (a < near[:a]))
+        near[:a][take] = a
+        near_d[:a][take] = col[take]
+        # Rows whose neighbour was a or b, row a itself among them.
+        for c in np.flatnonzero((near == a) | (near == b)).tolist():
+            rescan(c)
 
     reps = sorted(members)
     labels = np.empty(m, dtype=np.int64)

@@ -23,6 +23,8 @@ LN_EPS = 1e-6
 _MASKED_BIAS = -1e30
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Tracks per chunk of forward_eval_batch.
+_EVAL_CHUNK = 16
 
 
 class EncoderError(Exception):
@@ -156,11 +158,21 @@ def _ln_backward(dy, xhat, inv, g):
     return dx, dg, db
 
 
-def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
-    """Build (B, S, d) input with class token plus the validity mask."""
-    cfg = params.config
-    d = cfg.model_dim
-    lens = []
+def length_chunks(lengths, size: int) -> list[np.ndarray]:
+    """Index arrays covering ``range(len(lengths))`` in stable length order,
+    ``size`` indices at a time, so each chunk pads only to its own longest
+    item."""
+    order = np.argsort(lengths, kind="stable")
+    return [order[c0 : c0 + size] for c0 in range(0, len(order), size)]
+
+
+def _check_clips(params: EncoderParams, clips) -> list[np.ndarray]:
+    """Validate a non-empty batch of (n, model_dim) clips; returns them as
+    float64 arrays."""
+    d = params.config.model_dim
+    if len(clips) == 0:
+        raise EncoderError("empty batch")
+    out = []
     for c in clips:
         c = np.asarray(c, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] != d:
@@ -171,16 +183,24 @@ def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
             raise EncoderError("empty clip")
         if not np.all(np.isfinite(c)):
             raise EncoderError("non-finite values in clip embeddings")
-        lens.append(c.shape[0])
+        out.append(c)
+    return out
+
+
+def _pad_clips(params: EncoderParams, clips: list[np.ndarray]):
+    """Build (B, S, d) input with class token plus the validity mask from
+    clips already passed through _check_clips."""
+    cfg = params.config
+    d = cfg.model_dim
+    lens = [c.shape[0] for c in clips]
     b = len(clips)
     s = 1 + max(lens)
     x = np.zeros((b, s, d))
     mask = np.zeros((b, s), dtype=bool)
     x[:, 0, :] = params.tensors["class_token"]
     mask[:, 0] = True
-    for i, c in enumerate(clips):
+    for i, frames in enumerate(clips):
         n = lens[i]
-        frames = np.asarray(c, dtype=np.float64)
         if cfg.use_positional_embedding:
             pe = params.tensors["pos_embedding"]
             if n > pe.shape[0]:
@@ -191,6 +211,11 @@ def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
         x[i, 1 : 1 + n, :] = frames
         mask[i, 1 : 1 + n] = True
     return x, mask
+
+
+def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
+    """Validate clips and build the padded (B, S, d) input and mask."""
+    return _pad_clips(params, _check_clips(params, clips))
 
 
 def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
@@ -285,9 +310,20 @@ def forward_eval(params: EncoderParams, track_embeddings: np.ndarray) -> np.ndar
 
 
 def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.ndarray:
-    x, mask = _stack_clips(params, tracks)
-    states, _ = _forward_core(params, x, mask, need_cache=False)
-    return states[:, 0, :]
+    """Evaluation representations (B, d) of many tracks, in input order.
+
+    Tracks run in length-sorted chunks of _EVAL_CHUNK, so memory is bounded
+    by the chunk size times the longest track rather than by the whole
+    batch, and each chunk pads only to its own longest track.  Rows equal
+    one padded batch within rounding.
+    """
+    tracks = _check_clips(params, tracks)
+    out = np.empty((len(tracks), params.config.model_dim))
+    for idx in length_chunks([t.shape[0] for t in tracks], _EVAL_CHUNK):
+        x, mask = _pad_clips(params, [tracks[i] for i in idx])
+        states, _ = _forward_core(params, x, mask, need_cache=False)
+        out[idx] = states[:, 0, :]
+    return out
 
 
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:

@@ -217,14 +217,12 @@ def bucketed_forward(params: enc.EncoderParams, clips: list[np.ndarray]):
     """Forward a batch of variable-length clips in length-sorted chunks.
 
     Padding each chunk only to its own longest clip cuts the wasted work
-    substantially; results are identical to one padded batch.  Returns
+    substantially; results equal one padded batch within rounding.  Returns
     (z in original order, list of (index array, cache)).
     """
-    order = np.argsort([c.shape[0] for c in clips], kind="stable")
     z = np.empty((len(clips), params.config.head_out_dim))
     caches = []
-    for c0 in range(0, len(order), _CHUNK):
-        idx = order[c0 : c0 + _CHUNK]
+    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
         zc, cache = enc.forward_train_batch(params, [clips[i] for i in idx])
         z[idx] = zc
         caches.append((idx, cache))

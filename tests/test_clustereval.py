@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trackcentre import KnownK, Threshold, c_dif, hac, nmi, sdbw, wcp
-from trackcentre.clustereval import ClusterError
+from trackcentre.clustereval import LINKAGES, ClusterAssignment, ClusterError
 
 
 def oracle_nmi(pred, truth):
@@ -51,6 +51,59 @@ def oracle_wcp(pred, truth):
         members = [t for p, t in zip(pred, truth) if p == a]
         total += max(members.count(b) for b in set(members))
     return total / len(pred)
+
+
+def oracle_hac(vectors, linkage, stop):
+    """The straight-line HAC loop: rescans the whole matrix per merge."""
+    x = np.asarray(vectors, dtype=np.float64)
+    m = x.shape[0]
+    if isinstance(stop, KnownK):
+        target_k, threshold = stop.k, None
+    else:
+        target_k, threshold = 1, float(stop.t)
+
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+
+    # Active clusters: representative = smallest member index.
+    members: dict[int, list[int]] = {i: [i] for i in range(m)}
+    d = dist.copy()
+    merges: list[tuple[float, int, int]] = []
+
+    while len(members) > target_k:
+        h = d.min()
+        ties = np.argwhere(d == h)
+        ties = ties[ties[:, 0] < ties[:, 1]]
+        a, b = min((int(r), int(c)) for r, c in ties)
+        if threshold is not None and h > threshold:
+            break
+        merges.append((float(h), a, b))
+        na, nb = len(members[a]), len(members[b])
+        for c in members:
+            if c in (a, b):
+                continue
+            if linkage == "single":
+                nd = min(d[a, c], d[b, c])
+            elif linkage == "complete":
+                nd = max(d[a, c], d[b, c])
+            else:
+                nd = (na * d[a, c] + nb * d[b, c]) / (na + nb)
+            d[a, c] = d[c, a] = nd
+        members[a].extend(members[b])
+        del members[b]
+        d[b, :] = np.inf
+        d[:, b] = np.inf
+
+    reps = sorted(members)
+    labels = np.empty(m, dtype=np.int64)
+    for lab, rep in enumerate(reps):
+        labels[members[rep]] = lab
+    return ClusterAssignment(
+        labels=tuple(int(v) for v in labels),
+        k=len(reps),
+        merges=tuple(merges),
+    )
 
 
 def random_partition_pair(rng, max_m=50):
@@ -209,6 +262,39 @@ def test_hac_deterministic_ties():
     assert a == b
     # lexicographic tie-break merges (0, 1) first
     assert a.merges[0][1:] == (0, 1)
+
+
+def test_hac_matches_oracle_randomized():
+    """Same labels, k and merge heights bit for bit as the straight-line
+    loop, on Gaussian points and on integer grids full of equal distances."""
+    rng = np.random.default_rng(15)
+    for case in range(400):
+        m = int(rng.integers(1, 61))
+        dim = int(rng.integers(1, 5))
+        if case % 2:
+            x = rng.integers(0, 3, size=(m, dim)).astype(np.float64)
+        else:
+            x = rng.standard_normal((m, dim))
+        for linkage in LINKAGES:
+            if case % 4 < 2:
+                stop = KnownK(int(rng.integers(1, m + 1)))
+            else:
+                stop = Threshold(float(rng.choice([0.0, 1.0, 1.5, np.inf, rng.uniform(0, 3)])))
+            assert hac(x, linkage, stop) == oracle_hac(x, linkage, stop), (case, linkage, stop)
+
+
+def test_hac_rejects_non_finite():
+    x = np.zeros((4, 2))
+    x[1] = [0.0, 1.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[2, 1] = bad
+        for stop in (KnownK(1), Threshold(np.inf)):
+            with pytest.raises(ClusterError, match="non-finite"):
+                hac(y, stop=stop)
+    # Finite vectors whose squared distance overflows.
+    with pytest.raises(ClusterError, match="overflow"):
+        hac(np.array([[1e200], [-1e200], [0.0]]), stop=KnownK(1))
 
 
 def test_hac_validation(rng):

@@ -325,6 +325,26 @@ def test_batched_forward_matches_single(rng):
         assert np.max(np.abs(cls_batch[i] - forward_eval(p, clip))) <= 1e-12
 
 
+def test_eval_batch_chunks_keep_input_order(rng):
+    """More tracks than one chunk, lengths shuffled: each row belongs to its
+    own input track."""
+    cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
+    p = init_params(cfg, rng)
+    lengths = rng.permutation(np.arange(150) % 23 + 1)
+    tracks = [rng.standard_normal((int(n), 8)) for n in lengths]
+    assert len(tracks) > enc._EVAL_CHUNK
+    reps = forward_eval_batch(p, tracks)
+    assert reps.shape == (150, 8)
+    for i, track in enumerate(tracks):
+        assert np.max(np.abs(reps[i] - forward_eval(p, track))) <= 1e-12
+
+
+def test_eval_batch_empty(rng):
+    p = init_params(EncoderConfig(model_dim=8, heads=2, layers=1), rng)
+    with pytest.raises(EncoderError, match="empty batch"):
+        forward_eval_batch(p, [])
+
+
 def test_batched_backward_matches_sum_of_singles(rng):
     cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
     p = init_params(cfg, rng)
