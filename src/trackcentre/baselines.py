@@ -1,5 +1,8 @@
 """Comparison systems: temporal averaging and pairwise contrastive
 training of a Siamese MLP (frame level) or the transformer (clip level).
+
+Both pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so
+all three methods share one schedule, sized from the epoch's drawn items.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from . import encoder as enc
 from .constraints import CannotLinkMatrix, sample_pairs
 from .trackio import EmbeddingTrack, TrackSet
 from .vcl import (
+    DIST_EPS,
+    OneCycleSGD,
     TrainConfig,
     TrainError,
     bucketed_backward,
     bucketed_forward,
-    onecycle_lr,
     sample_clip_consecutive,
 )
 
@@ -31,10 +35,6 @@ class SiameseMlpParams:
     @property
     def in_dim(self) -> int:
         return self.tensors["w1"].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.tensors["w2"].shape[1]
 
 
 def init_mlp(
@@ -106,7 +106,7 @@ def _pair_loss_grads(zi, zj, ys, g):
     att = ys == 1
     hinge = np.maximum(g - dist, 0.0)
     losses = np.where(att, 0.5 * dist**2, 0.5 * hinge**2)
-    safe = dist > 1e-12
+    safe = dist > DIST_EPS
     unit = np.zeros_like(diff)
     unit[safe] = diff[safe] / dist[safe, None]
     dzi = np.where(att[:, None], diff, -hinge[:, None] * unit)
@@ -133,41 +133,45 @@ def train_pairwise(
     "mlp": frame-level Siamese MLP on sampled constraint pairs.
     "transformer": clip-vs-clip training of the encoder head outputs.
     """
-    if model_kind not in ("mlp", "transformer"):
-        raise TrainError(f"unknown model kind {model_kind!r}")
     cfg = config
     tracks = trackset.tracks
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
     have_negatives = n_matrix.any_links()
-    if not have_negatives:
-        warnings.warn("no cannot-links available; training with positives only")
-
-    pos_per_epoch = cfg.attract_per_track * m
-    neg_per_epoch = cfg.repel_per_track * m if have_negatives else 0
-    pairs_per_epoch = pos_per_epoch + neg_per_epoch
-    batches_per_epoch = -(-pairs_per_epoch // cfg.batch_size)
-    total_steps = cfg.epochs * batches_per_epoch
 
     if model_kind == "mlp":
         hidden = mlp_hidden if mlp_hidden is not None else max(1, trackset.dim // 2)
         params = init_mlp(trackset.dim, hidden, mlp_out_dim, rng)
-    else:
+        track_index = {t.track_id: i for i, t in enumerate(tracks)}
+        neg_per_epoch = cfg.repel_per_track * m if have_negatives else 0
+
+        def draw():
+            return sample_pairs(
+                trackset, n_matrix, rng, cfg.attract_per_track * m, neg_per_epoch
+            )
+
+        def inputs(batch):
+            xi = np.stack(
+                [tracks[track_index[p.track_a]].embeddings[p.frame_idx_a] for p in batch]
+            )
+            xj = np.stack(
+                [tracks[track_index[p.track_b]].embeddings[p.frame_idx_b] for p in batch]
+            )
+            return xi, xj, np.array([p.y for p in batch])
+
+        def forward(x):
+            z, pre = mlp_forward(params, x)
+            return z, (x, pre)
+
+        def backward(cache, dz):
+            return mlp_backward(params, *cache, dz)
+
+    elif model_kind == "transformer":
         if encoder_config is None:
             raise TrainError("transformer mode requires an encoder_config")
         params = enc.init_params(encoder_config, rng)
-    velocity = {n: np.zeros_like(t) for n, t in params.tensors.items()}
-    decayed = {n for n, t in params.tensors.items() if t.ndim == 2}
 
-    track_index = {t.track_id: i for i, t in enumerate(tracks)}
-    history = []
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        if model_kind == "mlp":
-            pairs = sample_pairs(trackset, n_matrix, rng, pos_per_epoch, neg_per_epoch)
-            order = rng.permutation(len(pairs))
-            pairs = [pairs[i] for i in order]
-        else:
+        def draw():
             pairs = []
             for ti, track in enumerate(tracks):
                 partners = n_matrix.partners(ti)
@@ -175,7 +179,7 @@ def train_pairwise(
                     ca = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
                     cb = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
                     pairs.append((ti, ca, ti, cb, 1))
-                if have_negatives and len(partners) > 0:
+                if len(partners) > 0:
                     for _ in range(cfg.repel_per_track):
                         other = int(partners[rng.integers(len(partners))])
                         ca = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
@@ -183,65 +187,35 @@ def train_pairwise(
                             tracks[other].length, cfg.clip_cap, rng
                         )
                         pairs.append((ti, ca, other, cb, 0))
-            order = rng.permutation(len(pairs))
-            pairs = [pairs[i] for i in order]
+            return pairs
 
-        loss_sum = 0.0
-        n_pairs = len(pairs)
-        lr = 0.0
-        for b0 in range(0, n_pairs, cfg.batch_size):
-            batch = pairs[b0 : b0 + cfg.batch_size]
-            bsz = len(batch)
-            if model_kind == "mlp":
-                xi = np.stack(
-                    [
-                        tracks[track_index[p.track_a]].embeddings[p.frame_idx_a]
-                        for p in batch
-                    ]
-                )
-                xj = np.stack(
-                    [
-                        tracks[track_index[p.track_b]].embeddings[p.frame_idx_b]
-                        for p in batch
-                    ]
-                )
-                ys = np.array([p.y for p in batch])
-                zi, pre_i = mlp_forward(params, xi)
-                zj, pre_j = mlp_forward(params, xj)
-                losses, dzi, dzj = _pair_loss_grads(zi, zj, ys, cfg.margin)
-                gi = mlp_backward(params, xi, pre_i, dzi / bsz)
-                gj = mlp_backward(params, xj, pre_j, dzj / bsz)
-                grads = {n: gi[n] + gj[n] for n in gi}
-            else:
-                clips_i = [
-                    c.slice_of(tracks[ti].embeddings) for ti, c, _, _, _ in batch
-                ]
-                clips_j = [
-                    c.slice_of(tracks[tj].embeddings) for _, _, tj, c, _ in batch
-                ]
-                ys = np.array([p[4] for p in batch])
-                zi, caches_i = bucketed_forward(params, clips_i)
-                zj, caches_j = bucketed_forward(params, clips_j)
-                losses, dzi, dzj = _pair_loss_grads(zi, zj, ys, cfg.margin)
-                gi = bucketed_backward(params, caches_i, dzi / bsz)
-                gj = bucketed_backward(params, caches_j, dzj / bsz)
-                grads = {n: gi[n] + gj[n] for n in gi}
-            if not np.all(np.isfinite(losses)):
-                raise TrainError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}"
-                )
-            loss_sum += float(losses.sum())
+        def inputs(batch):
+            clips_i = [c.slice_of(tracks[ti].embeddings) for ti, c, _, _, _ in batch]
+            clips_j = [c.slice_of(tracks[tj].embeddings) for _, _, tj, c, _ in batch]
+            return clips_i, clips_j, np.array([p[4] for p in batch])
 
-            lr = onecycle_lr(step, total_steps, cfg)
-            for name, g in grads.items():
-                w = params.tensors[name]
-                if name in decayed and cfg.weight_decay > 0:
-                    g = g + cfg.weight_decay * w
-                velocity[name] = cfg.momentum * velocity[name] + g
-                w -= lr * velocity[name]
-            step += 1
+        def forward(clips):
+            return bucketed_forward(params, clips)
 
-        history.append(
-            dict(epoch=epoch, mean_loss=loss_sum / n_pairs, lr=lr, sdbw=None)
-        )
+        def backward(caches, dz):
+            return bucketed_backward(params, caches, dz)
+
+    else:
+        raise TrainError(f"unknown model kind {model_kind!r}")
+    if not have_negatives:
+        warnings.warn("no cannot-links available; training with positives only")
+
+    opt = OneCycleSGD(params.tensors, cfg, rng)
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        for batch in opt.batches(draw()):
+            xi, xj, ys = inputs(batch)
+            zi, cache_i = forward(xi)
+            zj, cache_j = forward(xj)
+            losses, dzi, dzj = _pair_loss_grads(zi, zj, ys, cfg.margin)
+            opt.add_losses(losses)
+            gi = backward(cache_i, dzi / len(batch))
+            gj = backward(cache_j, dzj / len(batch))
+            opt.step({n: gi[n] + gj[n] for n in gi})
+        history.append(dict(epoch=epoch, mean_loss=opt.mean_loss, lr=opt.lr, sdbw=None))
     return params, history

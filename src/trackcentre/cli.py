@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, checkpoint, vcl
 from . import encoder as enc
-from .clustereval import KnownK, Threshold, hac, nmi, sdbw, wcp
+from .clustereval import KnownK, Threshold, c_dif, hac, nmi, sdbw, wcp
 from .constraints import derive_cannot_links
 from .trackio import SyntheticSpec, TrackSet, generate_synthetic, load_trackset, save_trackset
 
@@ -179,7 +179,7 @@ def _metrics_row(video_id, method, reps, trackset, stop) -> dict:
         truth = np.array(labels)
         row["nmi"] = nmi(assign.as_array(), truth)
         row["wcp"] = wcp(assign.as_array(), truth)
-        row["c_dif"] = abs(assign.k - int(k_true))
+        row["c_dif"] = c_dif(assign.k, k_true)
     if assign.k >= 2:
         row["sdbw"] = sdbw(reps, assign.as_array())
     return row
@@ -243,11 +243,11 @@ def cmd_train(args) -> int:
     else:
         method = args.method
         tracks_path = args.tracks
-        trackset = load_trackset(tracks_path)
         train_cfg = _train_config_from_args(args)
-        enc_cfg = _encoder_config_from_args(args, trackset.dim)
         out_dir = Path(args.out)
     trackset = load_trackset(tracks_path)
+    if not args.manifest:
+        enc_cfg = _encoder_config_from_args(args, trackset.dim)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest_dict(method, tracks_path, train_cfg.seed, train_cfg,
                               enc_cfg, out_dir)

@@ -70,15 +70,6 @@ class EncoderParams:
     config: EncoderConfig
     tensors: dict[str, np.ndarray]
 
-    def check_finite(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise EncoderError(f"non-finite values in parameter {name}")
-
-    def decayed_names(self) -> list[str]:
-        """Names subject to weight decay: projection matrices only."""
-        return [n for n, t in self.tensors.items() if t.ndim == 2]
-
 
 @dataclass
 class ForwardCache:

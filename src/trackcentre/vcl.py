@@ -1,11 +1,16 @@
 """Video-centralised learning: clip sampling, attract/repel losses, centre
-table maintenance and the full training loop.
+table maintenance, the training optimiser and the full training loop.
 
 Each track owns a latent-space centre.  Clip representations are attracted
 to their own centre and repelled (hinge with margin g) from centres of
 cannot-linked tracks.  Parameters are trained with SGD + momentum under a
 OneCycle schedule; centres take SGD steps at a proportional rate eta = p*xi
 and are periodically re-established by a full-track forward pass.
+
+``OneCycleSGD`` is the one optimiser of vc and of both pairwise baselines
+(ct, tsiam): it shuffles and batches each epoch's drawn items, sizes the
+schedule from the first epoch's item count and applies the momentum and
+weight-decay update, so the three methods train under the same schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ class Clip:
 
     start: int  # i
     extra: int  # j; clip length is j + 1
-    track_id: int | None = None
 
     def __post_init__(self):
         if self.start < 1 or self.extra < 0:
@@ -48,14 +52,6 @@ class CentreTable:
 
     centres: np.ndarray  # (M, z)
     track_ids: tuple[int, ...]
-    epochs_since_recompute: int = 0
-
-    def copy(self) -> "CentreTable":
-        return CentreTable(
-            centres=self.centres.copy(),
-            track_ids=self.track_ids,
-            epochs_since_recompute=self.epochs_since_recompute,
-        )
 
 
 @dataclass(frozen=True)
@@ -202,6 +198,72 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return final + (cfg.max_lr - final) * 0.5 * (1.0 + np.cos(np.pi * q))
 
 
+class OneCycleSGD:
+    """SGD with momentum and weight decay on the projection matrices
+    (2-D tensors) under ``onecycle_lr``; updates ``tensors`` in place.
+
+    Per epoch, ``batches(items)`` shuffles the drawn items with ``rng`` and
+    yields them in batches of ``cfg.batch_size``.  The schedule lasts
+    ``cfg.epochs`` epochs of as many batches as the first epoch holds.  For
+    each batch the caller runs its own forward pass, hands the per-item
+    losses to ``add_losses`` and the summed gradients to ``step``.
+    ``mean_loss`` and ``lr`` describe the epoch in progress.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray], cfg: TrainConfig,
+                 rng: np.random.Generator):
+        self.tensors = tensors
+        self.cfg = cfg
+        self.rng = rng
+        self.velocity = {n: np.zeros_like(t) for n, t in tensors.items()}
+        self.decayed = {n for n, t in tensors.items() if t.ndim == 2}
+        self.total_steps = None
+        self.steps = 0
+        self.epoch = 0
+        self.batch = 0
+        self.items = 0
+        self.loss_sum = 0.0
+        self.lr = 0.0
+
+    def batches(self, items: list):
+        order = self.rng.permutation(len(items))
+        items = [items[i] for i in order]
+        size = self.cfg.batch_size
+        if self.total_steps is None:
+            self.total_steps = self.cfg.epochs * -(-len(items) // size)
+        self.epoch += 1
+        self.items = len(items)
+        self.loss_sum = 0.0
+        for b0 in range(0, len(items), size):
+            self.batch = b0 // size
+            yield items[b0 : b0 + size]
+
+    def add_losses(self, losses: np.ndarray) -> None:
+        if not np.all(np.isfinite(losses)):
+            raise TrainError(f"non-finite loss at epoch {self.epoch}, batch {self.batch}")
+        self.loss_sum += float(losses.sum())
+
+    @property
+    def mean_loss(self) -> float:
+        return self.loss_sum / self.items
+
+    def step(self, grads: dict[str, np.ndarray]) -> float:
+        """Apply one update and return its learning rate."""
+        cfg = self.cfg
+        self.lr = onecycle_lr(self.steps, self.total_steps, cfg)
+        for name, g in grads.items():
+            w = self.tensors[name]
+            if name in self.decayed and cfg.weight_decay > 0:
+                g = g + cfg.weight_decay * w
+            self.velocity[name] = cfg.momentum * self.velocity[name] + g
+            w -= self.lr * self.velocity[name]
+        for name, w in self.tensors.items():
+            if not np.all(np.isfinite(w)):
+                raise TrainError(f"non-finite values in parameter {name}")
+        self.steps += 1
+        return self.lr
+
+
 @dataclass(frozen=True)
 class _Sample:
     track_idx: int
@@ -260,7 +322,6 @@ def init_centres(params: enc.EncoderParams, trackset: TrackSet) -> CentreTable:
     return CentreTable(
         centres=centres,
         track_ids=tuple(t.track_id for t in trackset.tracks),
-        epochs_since_recompute=0,
     )
 
 
@@ -284,20 +345,14 @@ def train(
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
     params = enc.init_params(encoder_config, rng)
-    velocity = enc.zero_grads(params)
-    decayed = set(params.decayed_names())
+    opt = OneCycleSGD(params.tensors, cfg, rng)
 
     partner_lists = [n_matrix.partners(i) for i in range(m)]
     if not n_matrix.any_links():
         warnings.warn("no cannot-links available; training with attract samples only")
-    repel_tracks = sum(1 for p in partner_lists if len(p) > 0)
-    samples_per_epoch = cfg.attract_per_track * m + cfg.repel_per_track * repel_tracks
-    batches_per_epoch = -(-samples_per_epoch // cfg.batch_size)
-    total_steps = cfg.epochs * batches_per_epoch
 
     table = init_centres(params, trackset)
     history: list[dict] = []
-    step = 0
     best_sdbw = np.inf
     best_tensors = None
     sdbw_k = None
@@ -321,42 +376,23 @@ def train(
                     clip = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
                     other = int(partners[rng.integers(len(partners))])
                     samples.append(_Sample(ti, clip, 0, other))
-        order = rng.permutation(len(samples))
-        samples = [samples[i] for i in order]
 
-        loss_sum = 0.0
-        lr = 0.0
-        for b0 in range(0, len(samples), cfg.batch_size):
-            batch = samples[b0 : b0 + cfg.batch_size]
+        for batch in opt.batches(samples):
             clips = [s.clip.slice_of(tracks[s.track_idx].embeddings) for s in batch]
             z_batch, caches = bucketed_forward(params, clips)
             ys = np.array([s.y for s in batch])
             cen = table.centres[[s.centre_idx for s in batch]]
             losses, gz = _batch_loss_and_gradz(z_batch, cen, ys, cfg.margin)
-            if not np.all(np.isfinite(losses)):
-                raise TrainError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}"
-                )
-            loss_sum += float(losses.sum())
+            opt.add_losses(losses)
             grads = bucketed_backward(params, caches, gz / len(batch))
-
-            lr = onecycle_lr(step, total_steps, cfg)
-            for name, g in grads.items():
-                w = params.tensors[name]
-                if name in decayed and cfg.weight_decay > 0:
-                    g = g + cfg.weight_decay * w
-                velocity[name] = cfg.momentum * velocity[name] + g
-                w -= lr * velocity[name]
-            params.check_finite()
+            lr = opt.step(grads)
 
             eta = cfg.centre_lr_factor * lr
             for s, z in zip(batch, z_batch):
                 table.centres[s.centre_idx] = update_centre(
                     table.centres[s.centre_idx], z, s.y, eta, cfg.margin
                 )
-            step += 1
 
-        table.epochs_since_recompute += 1
         if epoch % cfg.centre_recompute_interval == 0:
             table = init_centres(params, trackset)
 
@@ -374,8 +410,8 @@ def train(
         history.append(
             dict(
                 epoch=epoch,
-                mean_loss=loss_sum / len(samples),
-                lr=lr,
+                mean_loss=opt.mean_loss,
+                lr=opt.lr,
                 sdbw=sdbw_val,
             )
         )
@@ -397,8 +433,8 @@ def write_history_csv(path, history) -> None:
             writer.writerow(
                 [
                     row["epoch"],
-                    repr(row["mean_loss"]),
-                    repr(row["lr"]),
-                    "" if row["sdbw"] is None else repr(row["sdbw"]),
+                    repr(float(row["mean_loss"])),
+                    repr(float(row["lr"])),
+                    "" if row["sdbw"] is None else repr(float(row["sdbw"])),
                 ]
             )

@@ -168,6 +168,24 @@ def test_attract_only_single_track(rng):
     assert losses[-1] <= losses[0]
 
 
+def test_transformer_schedule_ends_with_partnerless_tracks():
+    """ct's OneCycle schedule reaches max_lr/1e4 at its last step even when
+    some tracks have no cannot-link partner and so draw no negatives."""
+    from trackcentre import SyntheticSpec, generate_synthetic
+
+    ts = generate_synthetic(SyntheticSpec(
+        identity_count=3, tracks_per_identity=6, dim=8,
+        cooccurrence_density=0.05, seed=0,
+    ))
+    n = derive_cannot_links(ts)
+    with_partner = sum(1 for i in range(len(ts)) if len(n.partners(i)) > 0)
+    assert 0 < with_partner < len(ts)
+    cfg = TrainConfig(epochs=4, warmup_epochs=2, max_lr=1e-3, batch_size=64, seed=0)
+    enc_cfg = EncoderConfig(model_dim=ts.dim, heads=2, layers=1, head_out_dim=2)
+    _, history = train_pairwise("transformer", ts, n, cfg, encoder_config=enc_cfg)
+    assert history[-1]["lr"] == pytest.approx(cfg.max_lr / 1e4)
+
+
 def test_train_pairwise_deterministic(separable_trackset):
     ts = separable_trackset
     n = derive_cannot_links(ts)

@@ -202,6 +202,20 @@ def test_onecycle_endpoints():
         onecycle_lr(total, total, cfg)
 
 
+def test_optimiser_rejects_non_finite():
+    from trackcentre.vcl import OneCycleSGD
+
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=2)
+    opt = OneCycleSGD({"w": np.zeros((2, 2))}, cfg, np.random.default_rng(0))
+    batches = opt.batches([0, 1, 2])
+    assert len(next(batches)) == 2
+    assert opt.total_steps == 4
+    with pytest.raises(TrainError, match="non-finite loss at epoch 1, batch 0"):
+        opt.add_losses(np.array([0.5, np.nan]))
+    with pytest.raises(TrainError, match="non-finite values in parameter w"):
+        opt.step({"w": np.full((2, 2), np.inf)})
+
+
 def test_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(epochs=10, warmup_epochs=10)
@@ -344,6 +358,8 @@ def test_history_csv_roundtrip(tmp_path):
     rows = [
         dict(epoch=1, mean_loss=0.5, lr=1e-3, sdbw=None),
         dict(epoch=2, mean_loss=0.25, lr=2e-3, sdbw=0.75),
+        dict(epoch=3, mean_loss=np.float64(0.125), lr=np.float64(2.04e-05),
+             sdbw=np.float64(0.5)),
     ]
     path = tmp_path / "h.csv"
     write_history_csv(path, rows)
@@ -351,3 +367,4 @@ def test_history_csv_roundtrip(tmp_path):
     assert lines[0] == "epoch,mean_loss,lr,sdbw"
     assert lines[1].split(",") == ["1", "0.5", "0.001", ""]
     assert float(lines[2].split(",")[3]) == 0.75
+    assert lines[3].split(",") == ["3", "0.125", "2.04e-05", "0.5"]
