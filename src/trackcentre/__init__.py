@@ -8,7 +8,7 @@ from .trackio import (
     load_trackset,
     save_trackset,
 )
-from .constraints import CannotLinkMatrix, ConstraintPair, derive_cannot_links, sample_pairs
+from .constraints import CannotLinkMatrix, derive_cannot_links, sample_pairs
 from .encoder import (
     EncoderConfig,
     EncoderParams,

@@ -1,8 +1,11 @@
 """Comparison systems: temporal averaging and pairwise contrastive
 training of a Siamese MLP (frame level) or the transformer (clip level).
 
-Both pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so
-all three methods share one schedule, sized from the epoch's drawn items.
+tsiam draws each epoch's frame pairs as one index array
+(``constraints.sample_pairs``) and gathers their frames with two fancy
+indexes into one concatenation of the tracks' frames.  Both pairwise modes
+train with ``vcl.OneCycleSGD``, the optimiser of vc, so all three methods
+share one schedule, sized from the epoch's drawn items.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def train_pairwise(
 ):
     """Pairwise contrastive training; returns (params, history).
 
-    "mlp": frame-level Siamese MLP on sampled constraint pairs.
+    "mlp": frame-level Siamese MLP on the frame pairs of ``sample_pairs``.
     "transformer": clip-vs-clip training of the encoder head outputs.
     """
     cfg = config
@@ -142,8 +145,9 @@ def train_pairwise(
     if model_kind == "mlp":
         hidden = mlp_hidden if mlp_hidden is not None else max(1, trackset.dim // 2)
         params = init_mlp(trackset.dim, hidden, mlp_out_dim, rng)
-        track_index = {t.track_id: i for i, t in enumerate(tracks)}
         neg_per_epoch = cfg.repel_per_track * m if have_negatives else 0
+        frames = np.concatenate([t.embeddings for t in tracks])
+        offsets = np.cumsum([0] + [t.length for t in tracks[:-1]])
 
         def draw():
             return sample_pairs(
@@ -151,13 +155,9 @@ def train_pairwise(
             )
 
         def inputs(batch):
-            xi = np.stack(
-                [tracks[track_index[p.track_a]].embeddings[p.frame_idx_a] for p in batch]
-            )
-            xj = np.stack(
-                [tracks[track_index[p.track_b]].embeddings[p.frame_idx_b] for p in batch]
-            )
-            return xi, xj, np.array([p.y for p in batch])
+            xi = frames[offsets[batch[:, 0]] + batch[:, 1]]
+            xj = frames[offsets[batch[:, 2]] + batch[:, 3]]
+            return xi, xj, batch[:, 4]
 
         def forward(x):
             z, pre = mlp_forward(params, x)

@@ -3,6 +3,7 @@
 Cannot-links come from temporal co-occurrence: two tracks whose frame
 spans intersect must belong to different people.  Must-links are implicit
 in track membership: any two frames of one track share an identity.
+``sample_pairs`` draws both kinds as one integer array of frame pairs.
 """
 
 from __future__ import annotations
@@ -48,25 +49,6 @@ class CannotLinkMatrix:
         return bool(self.bits.any())
 
 
-@dataclass(frozen=True)
-class ConstraintPair:
-    """A labeled frame pair: y=1 must-link (same track), y=0 cannot-link."""
-
-    track_a: int
-    frame_idx_a: int
-    track_b: int
-    frame_idx_b: int
-    y: int
-
-    def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ConstraintError(f"y must be 0 or 1, got {self.y}")
-        if self.y == 1 and self.track_a != self.track_b:
-            raise ConstraintError("must-link pair drawn from two different tracks")
-        if self.y == 1 and self.frame_idx_a == self.frame_idx_b:
-            raise ConstraintError("must-link pair needs two distinct frames")
-
-
 def derive_cannot_links(trackset: TrackSet) -> CannotLinkMatrix:
     """bits[a][b] = 1 iff the frame spans of tracks a and b intersect."""
     tracks = trackset.tracks
@@ -86,43 +68,39 @@ def sample_pairs(
     rng: np.random.Generator,
     count_pos: int,
     count_neg: int,
-) -> list[ConstraintPair]:
+) -> np.ndarray:
     """Sample labeled frame pairs for pairwise contrastive training.
 
-    Positives are uniform over all within-track unordered frame pairs;
-    negatives are uniform over all frame pairs of cannot-linked tracks.
+    Returns an int64 array of shape (count_pos + count_neg, 5), one row
+    ``(track_a, frame_a, track_b, frame_b, y)`` per pair: tracks are
+    positions in ``trackset.tracks``, frames are 0-based, y=1 marks a
+    must-link (positives first), y=0 a cannot-link.  Positives are uniform
+    over all within-track unordered pairs of distinct frames; negatives are
+    uniform over all frame pairs of cannot-linked tracks.
     """
-    tracks = trackset.tracks
-    pairs: list[ConstraintPair] = []
+    lengths = np.array([t.length for t in trackset.tracks], dtype=np.int64)
+    parts = [np.empty((0, 5), dtype=np.int64)]
 
     if count_pos > 0:
-        weights = np.array([t.length * (t.length - 1) / 2 for t in tracks])
+        weights = lengths * (lengths - 1) / 2
         total = weights.sum()
         if total == 0:
             raise ConstraintError("no must-link pairs available: all tracks length 1")
-        probs = weights / total
-        chosen = rng.choice(len(tracks), size=count_pos, p=probs)
-        for ti in chosen:
-            t = tracks[ti]
-            i, j = rng.choice(t.length, size=2, replace=False)
-            pairs.append(
-                ConstraintPair(t.track_id, int(i), t.track_id, int(j), y=1)
-            )
+        t = rng.choice(len(lengths), size=count_pos, p=weights / total)
+        fa = rng.integers(lengths[t])
+        fb = rng.integers(lengths[t] - 1)
+        fb += fb >= fa
+        parts.append(np.stack([t, fa, t, fb, np.ones_like(t)], axis=1))
 
     if count_neg > 0:
         a_idx, b_idx = np.nonzero(np.triu(n_matrix.bits, k=1))
         if len(a_idx) == 0:
             raise ConstraintError("no cannot-links available")
-        weights = np.array(
-            [tracks[a].length * tracks[b].length for a, b in zip(a_idx, b_idx)],
-            dtype=np.float64,
-        )
-        probs = weights / weights.sum()
-        chosen = rng.choice(len(a_idx), size=count_neg, p=probs)
-        for ci in chosen:
-            ta, tb = tracks[a_idx[ci]], tracks[b_idx[ci]]
-            i = int(rng.integers(ta.length))
-            j = int(rng.integers(tb.length))
-            pairs.append(ConstraintPair(ta.track_id, i, tb.track_id, j, y=0))
+        weights = (lengths[a_idx] * lengths[b_idx]).astype(np.float64)
+        chosen = rng.choice(len(a_idx), size=count_neg, p=weights / weights.sum())
+        ta, tb = a_idx[chosen], b_idx[chosen]
+        fa = rng.integers(lengths[ta])
+        fb = rng.integers(lengths[tb])
+        parts.append(np.stack([ta, fa, tb, fb, np.zeros_like(ta)], axis=1))
 
-    return pairs
+    return np.concatenate(parts)

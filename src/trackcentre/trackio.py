@@ -9,6 +9,7 @@ widened to float64 on load; all in-memory computation is done in float64.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,9 +226,12 @@ def generate_synthetic(spec: SyntheticSpec) -> TrackSet:
 
     Each identity gets a unit-norm centroid; frames are the centroid plus
     isotropic Gaussian noise (a larger distractor scale with probability
-    ``distractor_prob``).  Tracks are laid out in time groups so that
-    roughly ``cooccurrence_density`` of all track pairs overlap in span,
-    and only tracks with different labels ever overlap.
+    ``distractor_prob``).  Tracks are laid out in time groups of distinct
+    labels, so only tracks with different labels ever overlap, and as many
+    track pairs overlap in span as ``cooccurrence_density`` asks, up to the
+    (identity_count - 1) / (M - 1) of all pairs that groups of at most
+    identity_count tracks allow.  A larger request warns and gets that
+    maximum.
     """
     rng = np.random.default_rng(spec.seed)
     k, d = spec.identity_count, spec.dim
@@ -266,6 +270,13 @@ def generate_synthetic(spec: SyntheticSpec) -> TrackSet:
             group.append(rest.pop(0))
         groups.append(group)
         pending = rest
+    if m > 1 and spec.cooccurrence_density > (k - 1) / (m - 1):
+        warnings.warn(
+            f"cooccurrence_density {spec.cooccurrence_density} is unreachable with "
+            f"{k} identities and {m} tracks; produced "
+            f"{made_pairs / (m * (m - 1) / 2):.4f}",
+            UserWarning,
+        )
 
     lengths = rng.integers(spec.min_length, spec.max_length + 1, size=m)
     tracks = []

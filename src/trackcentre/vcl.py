@@ -51,7 +51,6 @@ class CentreTable:
     """One latent centre per track, in track index order."""
 
     centres: np.ndarray  # (M, z)
-    track_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,9 @@ class OneCycleSGD:
     """SGD with momentum and weight decay on the projection matrices
     (2-D tensors) under ``onecycle_lr``; updates ``tensors`` in place.
 
-    Per epoch, ``batches(items)`` shuffles the drawn items with ``rng`` and
-    yields them in batches of ``cfg.batch_size``.  The schedule lasts
+    Per epoch, ``batches(items)`` shuffles the drawn items (a list, or an
+    array with one row per item) with ``rng`` and yields them in batches of
+    ``cfg.batch_size``.  The schedule lasts
     ``cfg.epochs`` epochs of as many batches as the first epoch holds.  For
     each batch the caller runs its own forward pass, hands the per-item
     losses to ``add_losses`` and the summed gradients to ``step``.
@@ -225,9 +225,12 @@ class OneCycleSGD:
         self.loss_sum = 0.0
         self.lr = 0.0
 
-    def batches(self, items: list):
+    def batches(self, items):
         order = self.rng.permutation(len(items))
-        items = [items[i] for i in order]
+        if isinstance(items, np.ndarray):
+            items = items[order]
+        else:
+            items = [items[i] for i in order]
         size = self.cfg.batch_size
         if self.total_steps is None:
             self.total_steps = self.cfg.epochs * -(-len(items) // size)
@@ -319,10 +322,7 @@ def _batch_loss_and_gradz(z_batch, centres, ys, g):
 
 def init_centres(params: enc.EncoderParams, trackset: TrackSet) -> CentreTable:
     centres = np.stack([compute_centre_full(params, t) for t in trackset.tracks])
-    return CentreTable(
-        centres=centres,
-        track_ids=tuple(t.track_id for t in trackset.tracks),
-    )
+    return CentreTable(centres=centres)
 
 
 def train(

@@ -27,6 +27,24 @@ def random_trackset(rng, n_tracks=6, dim=4, max_len=8, frame_range=40):
     return TrackSet(tracks=tuple(tracks), dim=dim, video_id="rand")
 
 
+def loss_batch(rng, rows=240, dim=3, g=0.8):
+    """Rows (a, b, y) for the batched losses plus their margin g: attract
+    (y=1) and repel (y=0) rows at zero distance, inside the margin and
+    beyond it (an inactive hinge), every combination equally often."""
+    a = rng.standard_normal((rows, dim))
+    direction = rng.standard_normal((rows, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    kind = np.arange(rows) % 3
+    dist = np.select(
+        [kind == 0, kind == 1],
+        [0.0, rng.uniform(0.05, 0.95, rows) * g],
+        rng.uniform(1.05, 3.0, rows) * g,
+    )
+    b = a + dist[:, None] * direction
+    ys = (np.arange(rows) // 3) % 2
+    return a, b, ys, g
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

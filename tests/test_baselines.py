@@ -13,6 +13,7 @@ from trackcentre import (
 )
 from trackcentre.baselines import (
     SiameseMlpParams,
+    _pair_loss_grads,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -21,7 +22,7 @@ from trackcentre.baselines import (
 from trackcentre.trackio import TrackSet
 from trackcentre.vcl import TrainError
 
-from conftest import make_track
+from conftest import loss_batch, make_track
 
 
 def test_temporal_average_constant(rng):
@@ -68,6 +69,32 @@ def test_pairwise_loss_symmetry(rng):
         assert pairwise_contrastive_loss(zi, zj, y, g) == pytest.approx(
             pairwise_contrastive_loss(zj, zi, y, g), rel=1e-15
         )
+
+
+def test_pair_loss_grads_match_scalar_reference():
+    """The batched pair losses of tsiam and ct training equal
+    pairwise_contrastive_loss row by row, and their gradients match central
+    finite differences of it (zero at zero distance)."""
+    zi, zj, ys, g = loss_batch(np.random.default_rng(12))
+    losses, dzi, dzj = _pair_loss_grads(zi, zj, ys, g)
+    assert np.any((ys == 0) & (losses == 0))  # some hinges are inactive
+    h = 1e-6
+    step = h * np.eye(zi.shape[1])
+    for r in range(len(ys)):
+        y = int(ys[r])
+
+        def loss(a, b):
+            return pairwise_contrastive_loss(a, b, y, g)
+
+        assert losses[r] == pytest.approx(loss(zi[r], zj[r]), rel=1e-12)
+        if np.array_equal(zi[r], zj[r]):
+            assert not dzi[r].any() and not dzj[r].any()
+            continue
+        for k, e in enumerate(step):
+            num_i = (loss(zi[r] + e, zj[r]) - loss(zi[r] - e, zj[r])) / (2 * h)
+            num_j = (loss(zi[r], zj[r] + e) - loss(zi[r], zj[r] - e)) / (2 * h)
+            assert dzi[r, k] == pytest.approx(num_i, abs=1e-7)
+            assert dzj[r, k] == pytest.approx(num_j, abs=1e-7)
 
 
 def test_mlp_forward_backward_gradcheck(rng):
@@ -160,12 +187,22 @@ def test_attract_only_single_track(rng):
 
     ts = TrackSet(tracks=(make_track(0, 0, 8, 4, rng),), dim=4, video_id="v")
     n = derive_cannot_links(ts)
+    cfg = baseline_config(5)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        params, history = train_pairwise("mlp", ts, n, baseline_config(5))
+        params, history = train_pairwise("mlp", ts, n, cfg)
         assert any("positives only" in str(x.message) for x in w)
-    losses = [h["mean_loss"] for h in history]
-    assert losses[-1] <= losses[0]
+    # Mean must-link loss over all 28 frame pairs of the track, not over the
+    # few pairs each epoch samples.
+    a, b = np.triu_indices(8, k=1)
+
+    def attract_loss(p):
+        z, _ = mlp_forward(p, ts.tracks[0].embeddings)
+        return np.mean([pairwise_contrastive_loss(z[i], z[j], 1, cfg.margin)
+                        for i, j in zip(a, b)])
+
+    initial = init_mlp(4, 2, 2, np.random.default_rng(cfg.seed))
+    assert attract_loss(params) < attract_loss(initial)
 
 
 def test_transformer_schedule_ends_with_partnerless_tracks():

@@ -181,10 +181,3 @@ def test_tsiam_train_and_eval(tracks_path, tmp_path):
                 out / "checkpoint.tcv1", "--method", "tsiam",
                 "--known-k", 2, "--out", metrics]) == 0
     assert read_csv(metrics)[0]["method"] == "tsiam"
-
-
-def test_thread_cap_env(tracks_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("TRACKCENTRE_THREADS", "1")
-    assert run(train_args(tracks_path, tmp_path / "o", epochs=2)) == 0
-    monkeypatch.setenv("TRACKCENTRE_THREADS", "abc")
-    assert run(train_args(tracks_path, tmp_path / "o2", epochs=2)) == 1

@@ -1,11 +1,12 @@
 """Cannot-link derivation and constraint pair sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from trackcentre import (
     CannotLinkMatrix,
-    ConstraintPair,
     TrackSet,
     derive_cannot_links,
     sample_pairs,
@@ -90,25 +91,17 @@ def test_matrix_validation():
         CannotLinkMatrix(bits=diag, track_ids=(0, 1))
 
 
-def test_pair_invariants():
-    with pytest.raises(ConstraintError):
-        ConstraintPair(0, 0, 1, 0, y=1)
-    with pytest.raises(ConstraintError):
-        ConstraintPair(0, 2, 0, 2, y=1)
-    with pytest.raises(ConstraintError):
-        ConstraintPair(0, 0, 1, 0, y=2)
-
-
 def test_single_track_length_two(rng):
     ts = TrackSet(
         tracks=(make_track(0, 0, 2, 3, rng),), dim=3, video_id="v"
     )
     n = derive_cannot_links(ts)
     pairs = sample_pairs(ts, n, np.random.default_rng(0), 1, 0)
-    (p,) = pairs
-    assert p.y == 1
-    assert p.track_a == p.track_b == 0
-    assert {p.frame_idx_a, p.frame_idx_b} == {0, 1}
+    assert pairs.shape == (1, 5) and pairs.dtype == np.int64
+    ((ta, fa, tb, fb, y),) = pairs
+    assert y == 1
+    assert ta == tb == 0
+    assert {fa, fb} == {0, 1}
 
 
 def test_no_cannot_links_error(rng):
@@ -134,7 +127,9 @@ def test_all_length_one_error(rng):
 
 
 def test_sampled_pair_support(rng):
-    """Empirical support of 1e5 draws equals the enumerated valid pairs."""
+    """Empirical support of 1e5 draws equals the enumerated valid pairs,
+    each drawn equally often (within 5%): every ordered pair of distinct
+    frames of one track, every frame pair of cannot-linked tracks."""
     ts = TrackSet(
         tracks=(
             make_track(0, 0, 3, 2, rng),   # frames [0, 2]
@@ -146,39 +141,36 @@ def test_sampled_pair_support(rng):
     )
     n = derive_cannot_links(ts)
     pairs = sample_pairs(ts, n, np.random.default_rng(1), 50_000, 50_000)
+    assert pairs.shape == (100_000, 5)
+    counts = Counter(map(tuple, pairs.tolist()))
 
-    pos_support = set()
-    neg_support = set()
-    for p in pairs:
-        if p.y == 1:
-            key = (p.track_a, frozenset((p.frame_idx_a, p.frame_idx_b)))
-            pos_support.add(key)
-        else:
-            neg_support.add((p.track_a, p.frame_idx_a, p.track_b, p.frame_idx_b))
-
-    expected_pos = set()
-    for t in ts.tracks:
-        for i in range(t.length):
-            for j in range(i + 1, t.length):
-                expected_pos.add((t.track_id, frozenset((i, j))))
-    assert pos_support == expected_pos
-
-    expected_neg = {
-        (0, i, 1, j) for i in range(3) for j in range(2)
+    expected_pos = {
+        (ti, i, ti, j, 1)
+        for ti, t in enumerate(ts.tracks)
+        for i in range(t.length)
+        for j in range(t.length)
+        if i != j
     }
-    assert neg_support == expected_neg
+    expected_neg = {(0, i, 1, j, 0) for i in range(3) for j in range(2)}
+    assert set(counts) == expected_pos | expected_neg
+    for expected in (expected_pos, expected_neg):
+        mean = 50_000 / len(expected)
+        assert all(abs(counts[p] - mean) <= 0.05 * mean for p in expected)
 
 
 def test_pair_label_consistency():
     rng = np.random.default_rng(3)
     ts = random_trackset(rng, n_tracks=10, frame_range=20)
     n = derive_cannot_links(ts)
-    index = {t.track_id: i for i, t in enumerate(ts.tracks)}
     n_neg = 5000 if n.any_links() else 0
     pairs = sample_pairs(ts, n, rng, 5000, n_neg)
-    for p in pairs:
-        if p.y == 1:
-            assert p.track_a == p.track_b
-            assert p.frame_idx_a != p.frame_idx_b
-        else:
-            assert n.bits[index[p.track_a], index[p.track_b]] == 1
+    assert pairs.shape == (5000 + n_neg, 5) and pairs.dtype == np.int64
+    ta, fa, tb, fb, y = pairs.T
+    assert np.array_equal(y, np.repeat([1, 0], [5000, n_neg]))
+    lengths = np.array([t.length for t in ts.tracks])
+    assert np.all((0 <= fa) & (fa < lengths[ta]))
+    assert np.all((0 <= fb) & (fb < lengths[tb]))
+    pos = y == 1
+    assert np.array_equal(ta[pos], tb[pos])
+    assert np.all(fa[pos] != fb[pos])
+    assert np.all(n.bits[ta[~pos], tb[~pos]] == 1)

@@ -1,5 +1,7 @@
 """Track data model, container round-trips and the synthetic generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from trackcentre import (
     EmbeddingTrack,
     SyntheticSpec,
     TrackSet,
+    derive_cannot_links,
     generate_synthetic,
     load_trackset,
     save_trackset,
@@ -160,14 +163,15 @@ def test_synthetic_overlap_never_shares_label():
 
 def test_synthetic_overlap_density_bounded_and_nonzero():
     # With K identities, overlapping tracks must carry distinct labels, so
-    # the achievable pair density is far below the requested fraction for
-    # large M; the generator produces as much overlap as the label
-    # constraint allows and never exceeds the request.
+    # at most (K - 1) / (M - 1) of the pairs can overlap (0.040 here, far
+    # below the requested 0.3); the generator warns, produces that maximum
+    # and never exceeds the request.
     spec = SyntheticSpec(
         identity_count=5, tracks_per_identity=20, dim=8,
         cooccurrence_density=0.3, seed=0,
     )
-    ts = generate_synthetic(spec)
+    with pytest.warns(UserWarning, match="unreachable"):
+        ts = generate_synthetic(spec)
     m = len(ts)
     partners = {t.track_id: 0 for t in ts.tracks}
     count = 0
@@ -183,6 +187,19 @@ def test_synthetic_overlap_density_bounded_and_nonzero():
     assert 0.02 <= density <= 0.3
     # every track co-occurs with someone, so repel sampling covers all tracks
     assert all(v > 0 for v in partners.values())
+
+
+def test_synthetic_unreachable_density_warns():
+    """5 identities x 20 tracks allow at most 4/99 of the pairs to overlap:
+    larger requests warn and all give that maximum, 200 pairs."""
+    for density in (0.05, 0.3, 0.9):
+        with pytest.warns(UserWarning, match="produced 0.0404"):
+            ts = generate_synthetic(SyntheticSpec(cooccurrence_density=density, seed=5))
+        assert derive_cannot_links(ts).bits.sum() // 2 == 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = generate_synthetic(SyntheticSpec(cooccurrence_density=0.02, seed=5))
+    assert 0 < derive_cannot_links(ts).bits.sum() // 2 <= 0.02 * 4950
 
 
 def test_synthetic_distractors_recorded():

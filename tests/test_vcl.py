@@ -22,9 +22,9 @@ from trackcentre import (
     vc_loss,
 )
 from trackcentre.trackio import TrackSet
-from trackcentre.vcl import TrainError, write_history_csv
+from trackcentre.vcl import TrainError, _batch_loss_and_gradz, write_history_csv
 
-from conftest import make_track
+from conftest import loss_batch, make_track
 
 
 def test_clip_invariants():
@@ -151,6 +151,20 @@ def test_grad_z_finite_differences():
         denom = max(np.linalg.norm(num), np.linalg.norm(ana), 1e-9)
         assert np.linalg.norm(num - ana) / denom <= 1e-6
         checked += 1
+
+
+def test_batch_loss_matches_scalar_reference():
+    """The batched loss and dL/dz of vc training equal vc_loss and grad_z
+    row by row, at zero distance and on both sides of the margin."""
+    z, c, ys, g = loss_batch(np.random.default_rng(11))
+    losses, gz = _batch_loss_and_gradz(z, c, ys, g)
+    assert np.any((ys == 0) & (losses == 0))  # some hinges are inactive
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # grad_z warns at zero distance
+        for r in range(len(ys)):
+            y = int(ys[r])
+            assert losses[r] == pytest.approx(vc_loss(z[r], c[r], y, g), rel=1e-12)
+            assert np.allclose(gz[r], grad_z(z[r], c[r], y, g), rtol=1e-12, atol=1e-15)
 
 
 def test_update_centre_values():
