@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 LN_EPS = 1e-6
 _MASKED_BIAS = -1e30
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Tracks per chunk of forward_eval_batch.
 _EVAL_CHUNK = 16
@@ -119,19 +118,19 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return x * ndtr(x)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return ndtr(x) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def _ln_forward(x, g, b):
     """Row-wise layer norm over the last axis; returns (y, xhat, inv_std)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     return g * xhat + b, xhat, inv
 
 
@@ -210,10 +209,14 @@ def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
 
 
 def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
-    """Run the L residual blocks; returns (final states, cache or None).
+    """Run the L residual blocks; returns (final class-token states (B, d),
+    cache or None).
 
     Projections run as single (B*S, d) GEMMs; only the attention scores
-    use head-split 4-D tensors.
+    use head-split 4-D tensors.  Only the class token of the last block
+    reaches any output, so that block keys and values every token but
+    runs its query, attention output and MLP on the class token alone
+    (``sq`` query rows: S in earlier blocks, 1 in the last).
     """
     cfg = params.config
     t = params.tensors
@@ -227,6 +230,7 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
+        sq = 1 if i == cfg.layers - 1 else s
         wqkv = np.concatenate(
             [t[f"{p}.attn.wq"], t[f"{p}.attn.wk"], t[f"{p}.attn.wv"]], axis=1
         )
@@ -237,7 +241,7 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
         qkv = xn1.reshape(b * s, d) @ wqkv + bqkv
         # (B*S, 3d) -> three (B, h, S, dh)
         qkv = qkv.reshape(b, s, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
+        q, k, v = qkv[0][:, :, :sq], qkv[1], qkv[2]
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         scores += bias
@@ -245,15 +249,15 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         probs = scores
-        o = (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
-        attn_out = (o.reshape(b * s, d) @ t[f"{p}.attn.wo"]).reshape(b, s, d)
+        o = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
+        attn_out = (o.reshape(b * sq, d) @ t[f"{p}.attn.wo"]).reshape(b, sq, d)
         attn_out += t[f"{p}.attn.bo"]
-        x_mid = x + attn_out
+        x_mid = x[:, :sq] + attn_out
         xn2, xhat2, inv2 = _ln_forward(x_mid, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-        pre = xn2.reshape(b * s, d) @ t[f"{p}.mlp.w1"] + t[f"{p}.mlp.b1"]
-        phi = 0.5 * (1.0 + erf(pre * _INV_SQRT2))  # gelu(pre) = pre * phi
+        pre = xn2.reshape(b * sq, d) @ t[f"{p}.mlp.w1"] + t[f"{p}.mlp.b1"]
+        phi = ndtr(pre)  # standard normal CDF; gelu(pre) = pre * phi
         act = pre * phi
-        x_out = x_mid + (act @ t[f"{p}.mlp.w2"] + t[f"{p}.mlp.b2"]).reshape(b, s, d)
+        x_out = x_mid + (act @ t[f"{p}.mlp.w2"] + t[f"{p}.mlp.b2"]).reshape(b, sq, d)
         if need_cache:
             cache.layers.append(
                 dict(
@@ -264,7 +268,7 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
                 )
             )
         x = x_out
-    return x, cache
+    return x[:, 0, :], cache
 
 
 def _head_forward(params: EncoderParams, cls, cache: ForwardCache | None):
@@ -282,8 +286,8 @@ def _head_forward(params: EncoderParams, cls, cache: ForwardCache | None):
 def forward_train_batch(params: EncoderParams, clips: list[np.ndarray]):
     """Batched training forward: returns (Z (B, z_dim), ForwardCache)."""
     x, mask = _stack_clips(params, clips)
-    states, cache = _forward_core(params, x, mask, need_cache=True)
-    z = _head_forward(params, states[:, 0, :], cache)
+    cls, cache = _forward_core(params, x, mask, need_cache=True)
+    z = _head_forward(params, cls, cache)
     return z, cache
 
 
@@ -296,8 +300,8 @@ def forward_train(params: EncoderParams, clip_embeddings: np.ndarray):
 def forward_eval(params: EncoderParams, track_embeddings: np.ndarray) -> np.ndarray:
     """Evaluation representation: final class-token state, head discarded."""
     x, mask = _stack_clips(params, [track_embeddings])
-    states, _ = _forward_core(params, x, mask, need_cache=False)
-    return states[0, 0, :]
+    cls, _ = _forward_core(params, x, mask, need_cache=False)
+    return cls[0]
 
 
 def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.ndarray:
@@ -312,8 +316,7 @@ def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.nd
     out = np.empty((len(tracks), params.config.model_dim))
     for idx in length_chunks([t.shape[0] for t in tracks], _EVAL_CHUNK):
         x, mask = _pad_clips(params, [tracks[i] for i in idx])
-        states, _ = _forward_core(params, x, mask, need_cache=False)
-        out[idx] = states[:, 0, :]
+        out[idx], _ = _forward_core(params, x, mask, need_cache=False)
     return out
 
 
@@ -350,15 +353,17 @@ def backward(
     grads["head.ln.g"] = dg
     grads["head.ln.b"] = db
 
-    dx = np.zeros_like(cache.x0)
-    dx[:, 0, :] = dcls
+    # dL/d(block output) over the block's sq query rows; the last block
+    # outputs the class token only.
+    dx = dcls[:, None, :]
 
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}"
         c = cache.layers[i]
+        sq = c["x_mid"].shape[1]
 
         # MLP branch: x_out = x_mid + gelu(xn2 @ w1 + b1) @ w2 + b2
-        d_out2 = dx.reshape(b * s, d)
+        d_out2 = dx.reshape(b * sq, d)
         grads[f"{p}.mlp.w2"] = c["act"].T @ d_out2
         grads[f"{p}.mlp.b2"] = d_out2.sum(axis=0)
         dact = d_out2 @ t[f"{p}.mlp.w2"].T
@@ -366,19 +371,19 @@ def backward(
         dpre = dact * (
             c["phi"] + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
         )
-        grads[f"{p}.mlp.w1"] = c["xn2"].reshape(b * s, d).T @ dpre
+        grads[f"{p}.mlp.w1"] = c["xn2"].reshape(b * sq, d).T @ dpre
         grads[f"{p}.mlp.b1"] = dpre.sum(axis=0)
-        dxn2 = (dpre @ t[f"{p}.mlp.w1"].T).reshape(b, s, d)
+        dxn2 = (dpre @ t[f"{p}.mlp.w1"].T).reshape(b, sq, d)
         dmid_ln, dg, db = _ln_backward(dxn2, c["xhat2"], c["inv2"], t[f"{p}.ln2.g"])
         grads[f"{p}.ln2.g"] = dg
         grads[f"{p}.ln2.b"] = db
         d_mid = dx + dmid_ln
 
         # Attention branch: x_mid = x_in + (merge(P @ V) @ wo + bo)
-        d_mid2 = d_mid.reshape(b * s, d)
-        grads[f"{p}.attn.wo"] = c["o"].reshape(b * s, d).T @ d_mid2
+        d_mid2 = d_mid.reshape(b * sq, d)
+        grads[f"{p}.attn.wo"] = c["o"].reshape(b * sq, d).T @ d_mid2
         grads[f"{p}.attn.bo"] = d_mid2.sum(axis=0)
-        do = (d_mid2 @ t[f"{p}.attn.wo"].T).reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+        do = (d_mid2 @ t[f"{p}.attn.wo"].T).reshape(b, sq, h, dh).transpose(0, 2, 1, 3)
         dprobs = do @ c["v"].transpose(0, 1, 3, 2)
         dv = c["probs"].transpose(0, 1, 3, 2) @ do
         dscores = c["probs"] * (
@@ -386,15 +391,13 @@ def backward(
         )
         dq = (dscores @ c["k"]) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-        # (B, h, S, dh) -> (B*S, 3d) fused with the qkv projection
-        dqkv = np.concatenate(
-            [
-                dq.transpose(0, 2, 1, 3).reshape(b * s, d),
-                dk.transpose(0, 2, 1, 3).reshape(b * s, d),
-                dv.transpose(0, 2, 1, 3).reshape(b * s, d),
-            ],
-            axis=1,
-        )
+        # (B, h, rows, dh) -> (B*S, 3d) fused with the qkv projection;
+        # query rows past sq had no query and get zero gradient.
+        dqkv = np.zeros((b, s, 3 * d))
+        dqkv[:, :sq, :d] = dq.transpose(0, 2, 1, 3).reshape(b, sq, d)
+        dqkv[:, :, d : 2 * d] = dk.transpose(0, 2, 1, 3).reshape(b, s, d)
+        dqkv[:, :, 2 * d :] = dv.transpose(0, 2, 1, 3).reshape(b, s, d)
+        dqkv = dqkv.reshape(b * s, 3 * d)
         wqkv = np.concatenate(
             [t[f"{p}.attn.wq"], t[f"{p}.attn.wk"], t[f"{p}.attn.wv"]], axis=1
         )
@@ -410,7 +413,8 @@ def backward(
         din_ln, dg, db = _ln_backward(dxn1, c["xhat1"], c["inv1"], t[f"{p}.ln1.g"])
         grads[f"{p}.ln1.g"] = dg
         grads[f"{p}.ln1.b"] = db
-        dx = d_mid + din_ln
+        dx = din_ln
+        dx[:, :sq] += d_mid
 
     grads["class_token"] = dx[:, 0, :].sum(axis=0)
     if cfg.use_positional_embedding:

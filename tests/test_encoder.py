@@ -313,6 +313,36 @@ def test_gradcheck_positional_embedding(rng):
         assert rel_err(num, grads["pos_embedding"][ix]) <= 1e-4
 
 
+def test_gradcheck_every_entry_padded_deep_batch(rng):
+    """Every gradient entry of a padded batch through three blocks (the
+    last runs its query, attention output and MLP on the class token
+    only) with positional embedding, against central differences."""
+    cfg = EncoderConfig(
+        model_dim=4, heads=2, layers=3, mlp_hidden=6, head_out_dim=2,
+        use_positional_embedding=True, max_positions=6,
+    )
+    p = init_params(cfg, rng)
+    clips = [rng.standard_normal((n, 4)) for n in (1, 5, 3)]
+    dz = rng.standard_normal((3, 2))
+    _, cache = forward_train_batch(p, clips)
+    grads = backward(p, cache, dz)
+    h_step = 1e-5
+    worst = 0.0
+    for name, tensor in p.tensors.items():
+        for ix in np.ndindex(tensor.shape):
+            orig = tensor[ix]
+            tensor[ix] = orig + h_step
+            fp = float(np.sum(dz * forward_train_batch(p, clips)[0]))
+            tensor[ix] = orig - h_step
+            fm = float(np.sum(dz * forward_train_batch(p, clips)[0]))
+            tensor[ix] = orig
+            num = (fp - fm) / (2 * h_step)
+            worst = max(worst, rel_err(num, grads[name][ix]))
+    assert worst <= 1e-4, f"worst relative gradient error {worst}"
+    # positions past the longest clip get no gradient
+    assert np.all(grads["pos_embedding"][5:] == 0.0)
+
+
 def test_batched_forward_matches_single(rng):
     cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
     p = init_params(cfg, rng)
