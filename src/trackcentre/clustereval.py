@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 LINKAGES = ("single", "complete", "average")
-# Elements of the per-block difference tensor built by _distance_matrix.
-_BLOCK_ELEMENTS = 1 << 20
+# Elements of the difference buffer _distance_matrix reuses for every block
+# of rows: small enough to stay in cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class ClusterError(Exception):
@@ -48,16 +49,22 @@ class ClusterAssignment:
 
 def _distance_matrix(x: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x``, infinite on the
-    diagonal.  Built a block of rows at a time, so the temporary difference
-    tensor stays small; each entry is the same ``sqrt(sum(diff**2))``
-    reduction as a full broadcast would compute."""
+    diagonal.  Built a block of rows at a time in one reused difference
+    buffer; each entry is the same ``sqrt(sum(diff**2))`` reduction as a
+    full broadcast would compute."""
     m, dim = x.shape
     dist = np.empty((m, m))
     rows = max(1, _BLOCK_ELEMENTS // max(1, m * dim))
+    buf = np.empty(min(rows, m) * m * dim)
     with np.errstate(over="ignore"):  # overflow is reported just below
         for r0 in range(0, m, rows):
-            diff = x[r0 : r0 + rows, None, :] - x[None, :, :]
-            dist[r0 : r0 + rows] = np.sqrt((diff**2).sum(axis=-1))
+            block = x[r0 : r0 + rows]
+            diff = buf[: len(block) * m * dim].reshape(len(block), m, dim)
+            np.subtract(block[:, None, :], x[None, :, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            out = dist[r0 : r0 + rows]
+            np.sum(diff, axis=-1, out=out)
+            np.sqrt(out, out=out)
     if not np.all(np.isfinite(dist)):
         raise ClusterError("pairwise distances overflow float64")
     np.fill_diagonal(dist, np.inf)

@@ -134,11 +134,14 @@ def _ln_forward(x, g, b):
     return g * xhat + b, xhat, inv
 
 
-def _ln_backward(dy, xhat, inv, g):
-    """Returns (dx, dg, db); dg/db summed over all leading axes."""
+def _ln_backward(dy, xhat, inv, g, dx_rows=None):
+    """Returns (dx, dg, db); dg/db summed over all leading axes.  With
+    ``dx_rows``, dx covers only the first ``dx_rows`` entries of axis 1."""
     axes = tuple(range(dy.ndim - 1))
     dg = (dy * xhat).sum(axis=axes)
     db = dy.sum(axis=axes)
+    if dx_rows is not None:
+        dy, xhat, inv = dy[:, :dx_rows], xhat[:, :dx_rows], inv[:, :dx_rows]
     dxh = dy * g
     dx = inv * (
         dxh
@@ -162,44 +165,38 @@ def _check_clips(params: EncoderParams, clips) -> list[np.ndarray]:
     d = params.config.model_dim
     if len(clips) == 0:
         raise EncoderError("empty batch")
-    out = []
-    for c in clips:
-        c = np.asarray(c, dtype=np.float64)
+    out = [np.asarray(c, dtype=np.float64) for c in clips]
+    for c in out:
         if c.ndim != 2 or c.shape[1] != d:
             raise EncoderError(
                 f"clip shape {c.shape} incompatible with model_dim {d}"
             )
         if c.shape[0] < 1:
             raise EncoderError("empty clip")
-        if not np.all(np.isfinite(c)):
-            raise EncoderError("non-finite values in clip embeddings")
-        out.append(c)
+    if not np.isfinite(np.concatenate(out)).all():
+        raise EncoderError("non-finite values in clip embeddings")
     return out
 
 
 def _pad_clips(params: EncoderParams, clips: list[np.ndarray]):
     """Build (B, S, d) input with class token plus the validity mask from
     clips already passed through _check_clips."""
-    cfg = params.config
-    d = cfg.model_dim
-    lens = [c.shape[0] for c in clips]
-    b = len(clips)
-    s = 1 + max(lens)
-    x = np.zeros((b, s, d))
-    mask = np.zeros((b, s), dtype=bool)
-    x[:, 0, :] = params.tensors["class_token"]
+    lens = np.array([c.shape[0] for c in clips])
+    s = 1 + int(lens.max())
+    mask = np.zeros((len(clips), s), dtype=bool)
     mask[:, 0] = True
-    for i, frames in enumerate(clips):
-        n = lens[i]
-        if cfg.use_positional_embedding:
-            pe = params.tensors["pos_embedding"]
-            if n > pe.shape[0]:
-                raise EncoderError(
-                    f"clip length {n} exceeds max_positions {pe.shape[0]}"
-                )
-            frames = frames + pe[:n]
-        x[i, 1 : 1 + n, :] = frames
-        mask[i, 1 : 1 + n] = True
+    mask[:, 1:] = np.arange(s - 1) < lens[:, None]
+    rows, pos = np.nonzero(mask[:, 1:])  # clip-major, as the frames below
+    frames = np.concatenate(clips)
+    if params.config.use_positional_embedding:
+        pe = params.tensors["pos_embedding"]
+        if s - 1 > pe.shape[0]:
+            n = int(lens[lens > pe.shape[0]][0])
+            raise EncoderError(f"clip length {n} exceeds max_positions {pe.shape[0]}")
+        frames = frames + pe[pos]
+    x = np.zeros((len(clips), s, params.config.model_dim))
+    x[:, 0, :] = params.tensors["class_token"]
+    x[rows, 1 + pos] = frames
     return x, mask
 
 
@@ -320,10 +317,6 @@ def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.nd
     return out
 
 
-def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
-
-
 def backward(
     params: EncoderParams, cache: ForwardCache, grad_z_head: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -343,7 +336,7 @@ def backward(
             f"grad_z_head shape {dz.shape} incompatible with batch "
             f"({b}, {cfg.head_out_dim})"
         )
-    grads = zero_grads(params)
+    grads = {}
 
     # Head: z = LN(cls) @ W + b
     grads["head.w"] = cache.head_hn.T @ dz
@@ -410,20 +403,25 @@ def backward(
         grads[f"{p}.attn.bk"] = dbqkv[d : 2 * d]
         grads[f"{p}.attn.bv"] = dbqkv[2 * d :]
         dxn1 = (dqkv @ wqkv.T).reshape(b, s, d)
-        din_ln, dg, db = _ln_backward(dxn1, c["xhat1"], c["inv1"], t[f"{p}.ln1.g"])
+        # Without positional embedding only the class-token row of block
+        # 0's input gradient is read.
+        rows = 1 if i == 0 and not cfg.use_positional_embedding else None
+        dx, dg, db = _ln_backward(
+            dxn1, c["xhat1"], c["inv1"], t[f"{p}.ln1.g"], dx_rows=rows
+        )
         grads[f"{p}.ln1.g"] = dg
         grads[f"{p}.ln1.b"] = db
-        dx = din_ln
-        dx[:, :sq] += d_mid
+        sq = min(sq, dx.shape[1])
+        dx[:, :sq] += d_mid[:, :sq]
 
     grads["class_token"] = dx[:, 0, :].sum(axis=0)
     if cfg.use_positional_embedding:
-        pe_grad = grads["pos_embedding"]
+        pe_grad = grads["pos_embedding"] = np.zeros_like(t["pos_embedding"])
         lens = cache.mask.sum(axis=1) - 1
         for bi in range(b):
             n = int(lens[bi])
             pe_grad[:n] += dx[bi, 1 : 1 + n, :]
-    return grads
+    return {name: grads[name] for name in t}
 
 
 def attention_profile(params: EncoderParams, track_embeddings: np.ndarray):
@@ -435,7 +433,7 @@ def attention_profile(params: EncoderParams, track_embeddings: np.ndarray):
     """
     x, mask = _stack_clips(params, [track_embeddings])
     _, cache = _forward_core(params, x, mask, need_cache=True)
-    probs = cache.layers[-1]["probs"]  # (1, h, S, S)
+    probs = cache.layers[-1]["probs"]  # (1, h, 1, S): class-token query only
     raw = probs[0, :, 0, 1:].mean(axis=0)  # class-token query -> frame tokens
     norm = np.linalg.norm(raw)
     scores = raw / norm

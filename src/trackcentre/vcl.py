@@ -11,6 +11,11 @@ and are periodically re-established by a full-track forward pass.
 (ct, tsiam): it shuffles and batches each epoch's drawn items, sizes the
 schedule from the first epoch's item count and applies the momentum and
 weight-decay update, so the three methods train under the same schedule.
+
+vc streams each batch through the encoder one length-sorted chunk at a
+time (``streamed_step``), so only one chunk's activations are alive; ct
+keeps all of a batch's chunks (``bucketed_forward``/``bucketed_backward``)
+because its pair loss couples two forward passes.
 """
 
 from __future__ import annotations
@@ -152,25 +157,26 @@ def grad_z(z, c, y: int, g: float) -> np.ndarray:
     return np.zeros_like(diff)
 
 
-def update_centre(c, z, y: int, eta: float, g: float) -> np.ndarray:
-    """One SGD step on the centre, treating z as constant."""
+def update_centre(c, z, y, eta: float, g: float) -> np.ndarray:
+    """One SGD step on each centre row of ``c``, treating the matching row
+    of ``z`` as constant; ``y`` holds one label per row.  A single centre
+    (1-D ``c`` and ``z``, scalar ``y``) works the same way."""
     if eta <= 0:
         raise TrainError("eta must be positive")
     c = np.asarray(c, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y)
     diff = z - c
-    dist = float(np.linalg.norm(diff))
-    if dist <= DIST_EPS:
+    dist = np.linalg.norm(diff, axis=-1)
+    moving = dist > DIST_EPS
+    if not np.all(moving):
         warnings.warn("centre update at non-differentiable point ||z-c||=0")
-        return c.copy()
-    unit = diff / dist
-    if y == 1:
-        grad_c = -0.5 * unit  # (c - z) / ||z - c|| scaled by y/2
-    elif g - dist > 0:
-        grad_c = 0.5 * unit
-    else:
-        return c.copy()
-    return c - eta * grad_c
+    # Attract: grad_c = -0.5 * unit, (c - z) / ||z - c|| scaled by y/2;
+    # an active repel hinge: +0.5 * unit; an inactive one leaves c as is.
+    moving &= (y == 1) | (g - dist > 0)
+    sign = np.where(y == 1, -0.5, 0.5)
+    unit = diff / np.where(moving, dist, 1.0)[..., None]
+    return np.where(moving[..., None], c - eta * (sign[..., None] * unit), c)
 
 
 def compute_centre_full(params: enc.EncoderParams, track: EmbeddingTrack) -> np.ndarray:
@@ -275,17 +281,20 @@ class _Sample:
     centre_idx: int
 
 
-# Clips per chunk of bucketed_forward: small enough that each chunk pads
-# little past its own clips, large enough that the GEMMs stay efficient.
+# Clips per length-sorted chunk of a training batch: small enough that each
+# chunk pads little past its own clips, large enough that the GEMMs stay
+# efficient.
 _CHUNK = 32
 
 
 def bucketed_forward(params: enc.EncoderParams, clips: list[np.ndarray]):
-    """Forward a batch of variable-length clips in length-sorted chunks.
+    """Forward a batch of variable-length clips in length-sorted chunks,
+    keeping every chunk's cache for ``bucketed_backward``.
 
-    Padding each chunk only to its own longest clip cuts the wasted work
-    substantially; results equal one padded batch within rounding.  Returns
-    (z in original order, list of (index array, cache)).
+    Serves ct, whose pair loss couples two forward passes; vc streams its
+    chunks through ``streamed_step`` instead.  Results equal one padded
+    batch within rounding.  Returns (z in original order, list of
+    (index array, cache)).
     """
     z = np.empty((len(clips), params.config.head_out_dim))
     caches = []
@@ -296,17 +305,45 @@ def bucketed_forward(params: enc.EncoderParams, clips: list[np.ndarray]):
     return z, caches
 
 
+def _add_grads(total, grads):
+    """Add one chunk's gradients into the running total (None at first)."""
+    if total is None:
+        return grads
+    for name in total:
+        total[name] += grads[name]
+    return total
+
+
 def bucketed_backward(params: enc.EncoderParams, caches, gz: np.ndarray):
     """Accumulate parameter gradients over the chunks of bucketed_forward."""
     total = None
     for idx, cache in caches:
-        g = enc.backward(params, cache, gz[idx])
-        if total is None:
-            total = g
-        else:
-            for name in total:
-                total[name] += g[name]
+        total = _add_grads(total, enc.backward(params, cache, gz[idx]))
     return total
+
+
+def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray],
+                  centres: np.ndarray, ys: np.ndarray, g: float):
+    """vc loss and gradients of one batch, one length-sorted chunk at a time.
+
+    Each chunk runs its forward pass, its loss against its rows of
+    ``centres`` and its backward pass before the next chunk starts, so only
+    one chunk's cache is alive.  The arithmetic and summation order are
+    those of ``bucketed_backward(bucketed_forward(...))`` with dL/dz divided
+    by the batch size, so the gradients are bit-identical to it.  Returns
+    (z, per-clip losses, gradients of the mean loss).
+    """
+    n = len(clips)
+    z = np.empty((n, params.config.head_out_dim))
+    losses = np.empty(n)
+    total = None
+    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
+        zc, cache = enc.forward_train_batch(params, [clips[i] for i in idx])
+        losses[idx], gz = _batch_loss_and_gradz(zc, centres[idx], ys[idx], g)
+        total = _add_grads(total, enc.backward(params, cache, gz / n))
+        del cache  # freed before the next chunk's forward pass
+        z[idx] = zc
+    return z, losses, total
 
 
 def _batch_loss_and_gradz(z_batch, centres, ys, g):
@@ -320,6 +357,22 @@ def _batch_loss_and_gradz(z_batch, centres, ys, g):
     unit[safe] = diff[safe] / dist[safe, None]
     sign = np.where(att, 0.5, np.where((g - dist > 0), -0.5, 0.0))
     return losses, sign[:, None] * unit
+
+
+def _update_centres(centres, ci, z, ys, eta: float, g: float) -> None:
+    """Step ``centres[ci[i]]`` toward or away from ``z[i]`` for every row i
+    of a batch, in place, with the result of stepping the rows one by one.
+
+    Round r steps each centre's r-th occurrence in batch order, so a round
+    touches each centre at most once and needs one ``update_centre`` call.
+    """
+    order = np.argsort(ci, kind="stable")
+    first = np.searchsorted(ci[order], ci[order])
+    occurrence = np.empty_like(ci)
+    occurrence[order] = np.arange(len(ci)) - first
+    for r in range(occurrence.max() + 1):
+        rows = np.flatnonzero(occurrence == r)
+        centres[ci[rows]] = update_centre(centres[ci[rows]], z[rows], ys[rows], eta, g)
 
 
 def init_centres(params: enc.EncoderParams, trackset: TrackSet) -> CentreTable:
@@ -381,19 +434,16 @@ def train(
 
         for batch in opt.batches(samples):
             clips = [s.clip.slice_of(tracks[s.track_idx].embeddings) for s in batch]
-            z_batch, caches = bucketed_forward(params, clips)
             ys = np.array([s.y for s in batch])
-            cen = table.centres[[s.centre_idx for s in batch]]
-            losses, gz = _batch_loss_and_gradz(z_batch, cen, ys, cfg.margin)
+            ci = np.array([s.centre_idx for s in batch])
+            z_batch, losses, grads = streamed_step(
+                params, clips, table.centres[ci], ys, cfg.margin
+            )
             opt.add_losses(losses)
-            grads = bucketed_backward(params, caches, gz / len(batch))
             lr = opt.step(grads)
 
-            eta = cfg.centre_lr_factor * lr
-            for s, z in zip(batch, z_batch):
-                table.centres[s.centre_idx] = update_centre(
-                    table.centres[s.centre_idx], z, s.y, eta, cfg.margin
-                )
+            _update_centres(table.centres, ci, z_batch, ys,
+                            cfg.centre_lr_factor * lr, cfg.margin)
 
         if epoch % cfg.centre_recompute_interval == 0:
             table = init_centres(params, trackset)

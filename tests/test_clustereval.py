@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trackcentre import KnownK, Threshold, c_dif, hac, nmi, sdbw, wcp
+from trackcentre import clustereval
 from trackcentre.clustereval import LINKAGES, ClusterAssignment, ClusterError
 
 
@@ -281,6 +282,17 @@ def test_hac_matches_oracle_randomized():
             else:
                 stop = Threshold(float(rng.choice([0.0, 1.0, 1.5, np.inf, rng.uniform(0, 3)])))
             assert hac(x, linkage, stop) == oracle_hac(x, linkage, stop), (case, linkage, stop)
+
+
+@pytest.mark.parametrize("block_elements", [1, 7 * 11 * 3, 2 * 11 * 3 + 1, 10**6])
+def test_distance_matrix_blocks_match_full_broadcast(monkeypatch, block_elements):
+    """Blocks of 1, 7 (ragged last block of 4) and 2 rows of 11, and one
+    block of all rows, each equal the full broadcast exactly."""
+    monkeypatch.setattr(clustereval, "_BLOCK_ELEMENTS", block_elements)
+    x = np.random.default_rng(3).standard_normal((11, 3)) * [1.0, 1e3, 1e-3]
+    expect = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(expect, np.inf)
+    assert np.array_equal(clustereval._distance_matrix(x), expect)
 
 
 def test_hac_rejects_non_finite():

@@ -313,14 +313,10 @@ def test_gradcheck_positional_embedding(rng):
         assert rel_err(num, grads["pos_embedding"][ix]) <= 1e-4
 
 
-def test_gradcheck_every_entry_padded_deep_batch(rng):
-    """Every gradient entry of a padded batch through three blocks (the
-    last runs its query, attention output and MLP on the class token
-    only) with positional embedding, against central differences."""
-    cfg = EncoderConfig(
-        model_dim=4, heads=2, layers=3, mlp_hidden=6, head_out_dim=2,
-        use_positional_embedding=True, max_positions=6,
-    )
+def worst_gradient_error_padded_batch(rng, cfg):
+    """Worst relative error over every gradient entry of a padded batch
+    (lengths 1, 5 and 3) against central differences; returns it with the
+    gradients."""
     p = init_params(cfg, rng)
     clips = [rng.standard_normal((n, 4)) for n in (1, 5, 3)]
     dz = rng.standard_normal((3, 2))
@@ -338,9 +334,100 @@ def test_gradcheck_every_entry_padded_deep_batch(rng):
             tensor[ix] = orig
             num = (fp - fm) / (2 * h_step)
             worst = max(worst, rel_err(num, grads[name][ix]))
+    return worst, grads
+
+
+def test_gradcheck_every_entry_padded_deep_batch(rng):
+    """Every gradient entry of a padded batch through three blocks (the
+    last runs its query, attention output and MLP on the class token
+    only) with positional embedding, against central differences."""
+    cfg = EncoderConfig(
+        model_dim=4, heads=2, layers=3, mlp_hidden=6, head_out_dim=2,
+        use_positional_embedding=True, max_positions=6,
+    )
+    worst, grads = worst_gradient_error_padded_batch(rng, cfg)
     assert worst <= 1e-4, f"worst relative gradient error {worst}"
     # positions past the longest clip get no gradient
     assert np.all(grads["pos_embedding"][5:] == 0.0)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_gradcheck_every_entry_padded_batch_no_positional(rng, layers):
+    """As above without positional embedding, where block 0 takes an input
+    gradient for the class token alone."""
+    cfg = EncoderConfig(model_dim=4, heads=2, layers=layers, mlp_hidden=6, head_out_dim=2)
+    worst, _ = worst_gradient_error_padded_batch(rng, cfg)
+    assert worst <= 1e-4, f"worst relative gradient error {worst}"
+
+
+def per_clip_stack(params, clips):
+    """Reference: validate and pad one clip at a time."""
+    cfg = params.config
+    d = cfg.model_dim
+    if len(clips) == 0:
+        raise EncoderError("empty batch")
+    checked = []
+    for c in clips:
+        c = np.asarray(c, dtype=np.float64)
+        if c.ndim != 2 or c.shape[1] != d:
+            raise EncoderError(f"clip shape {c.shape} incompatible with model_dim {d}")
+        if c.shape[0] < 1:
+            raise EncoderError("empty clip")
+        if not np.all(np.isfinite(c)):
+            raise EncoderError("non-finite values in clip embeddings")
+        checked.append(c)
+    s = 1 + max(c.shape[0] for c in checked)
+    x = np.zeros((len(checked), s, d))
+    mask = np.zeros((len(checked), s), dtype=bool)
+    x[:, 0, :] = params.tensors["class_token"]
+    mask[:, 0] = True
+    for i, frames in enumerate(checked):
+        n = frames.shape[0]
+        if cfg.use_positional_embedding:
+            pe = params.tensors["pos_embedding"]
+            if n > pe.shape[0]:
+                raise EncoderError(f"clip length {n} exceeds max_positions {pe.shape[0]}")
+            frames = frames + pe[:n]
+        x[i, 1 : 1 + n, :] = frames
+        mask[i, 1 : 1 + n] = True
+    return x, mask
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EncoderError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_stack_clips_matches_per_clip_reference(rng, positional):
+    cfg = EncoderConfig(model_dim=4, heads=2, layers=1,
+                        use_positional_embedding=positional, max_positions=6)
+    p = init_params(cfg, rng)
+    clips = [rng.standard_normal((n, 4)) for n in (1, 4, 1, 6, 2)]
+    late_nan = [c.copy() for c in clips]
+    late_nan[3][5, 2] = np.nan
+    cases = [
+        clips,
+        [clips[0]],  # one length-1 clip
+        [c.tolist() for c in clips],  # nested lists are converted
+        clips + [rng.standard_normal((n, 4)) for n in (7, 9)],  # two past max_positions
+        late_nan,
+        [clips[1], rng.standard_normal((3, 5))],
+        [clips[1], np.zeros((0, 4))],
+        [],
+    ]
+    for case in cases:
+        got = outcome(enc._stack_clips, p, case)
+        expect = outcome(per_clip_stack, p, case)
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+    assert outcome(enc._stack_clips, p, late_nan) == "non-finite values in clip embeddings"
+    if positional:
+        assert outcome(enc._stack_clips, p, cases[3]) == "clip length 7 exceeds max_positions 6"
 
 
 def test_batched_forward_matches_single(rng):

@@ -22,7 +22,15 @@ from trackcentre import (
     vc_loss,
 )
 from trackcentre.trackio import TrackSet
-from trackcentre.vcl import TrainError, _batch_loss_and_gradz, write_history_csv
+from trackcentre.vcl import (
+    TrainError,
+    _batch_loss_and_gradz,
+    _update_centres,
+    bucketed_backward,
+    bucketed_forward,
+    streamed_step,
+    write_history_csv,
+)
 
 from conftest import loss_batch, make_track
 
@@ -188,6 +196,69 @@ def test_update_centre_attract_step_geometry(rng):
         assert np.linalg.norm(z - c2) < dist
 
 
+def scalar_update_centre(c, z, y, eta, g):
+    """Reference: one centre, one straight-line step."""
+    diff = z - c
+    dist = float(np.linalg.norm(diff))
+    if dist <= 1e-12:
+        return c.copy()
+    unit = diff / dist
+    if y == 1:
+        return c + eta * 0.5 * unit
+    if g - dist > 0:
+        return c - eta * 0.5 * unit
+    return c.copy()
+
+
+def test_update_centres_match_sequential_scalar_steps(rng):
+    """Batched rounds equal stepping the rows one by one, with centres
+    repeated up to five times, a zero-distance row and inactive hinges."""
+    centres = rng.standard_normal((6, 2))
+    ci = np.array([3, 0, 3, 5, 3, 1, 0, 3, 2, 3, 5, 0])
+    ys = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1])
+    z = rng.standard_normal((len(ci), 2))
+    z[0] = centres[3]  # zero distance: centre 3's first step is skipped
+    z[10] = centres[5] + [4.0, 0.0]  # beyond the margin: an inactive hinge
+    eta, g = 0.3, 1.0
+    expect = centres.copy()
+    active = []
+    for i in range(len(ci)):
+        before = expect[ci[i]].copy()
+        expect[ci[i]] = scalar_update_centre(before, z[i], ys[i], eta, g)
+        active.append(not np.array_equal(expect[ci[i]], before))
+    assert not active[0] and not active[10]
+    assert any(a and y == 0 for a, y in zip(active, ys))  # an active repel too
+    got = centres.copy()
+    with pytest.warns(UserWarning, match="non-differentiable"):
+        _update_centres(got, ci, z, ys, eta, g)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
+
+
+def test_streamed_step_bit_identical_to_bucketed(rng):
+    """The fused per-chunk step gives the same z, losses and gradients, bit
+    for bit, as one forward over all chunks followed by one backward."""
+    lengths = rng.integers(1, 13, size=75)  # three chunks, ragged last one
+    for cfg in (
+        EncoderConfig(model_dim=8, heads=2, layers=2),
+        EncoderConfig(model_dim=8, heads=2, layers=3, use_positional_embedding=True,
+                      max_positions=12),
+    ):
+        p = init_params(cfg, rng)
+        clips = [rng.standard_normal((int(n), 8)) for n in lengths]
+        centres = rng.standard_normal((len(clips), 2))
+        ys = rng.integers(0, 2, size=len(clips))
+        z, losses, grads = streamed_step(p, clips, centres, ys, 1.0)
+
+        z_ref, caches = bucketed_forward(p, clips)
+        loss_ref, gz = _batch_loss_and_gradz(z_ref, centres, ys, 1.0)
+        grads_ref = bucketed_backward(p, caches, gz / len(clips))
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(losses, loss_ref)
+        assert list(grads) == list(grads_ref) == list(p.tensors)
+        for name in grads:
+            assert np.array_equal(grads[name], grads_ref[name]), name
+
+
 def test_compute_centre_full_definition(rng):
     cfg = EncoderConfig(model_dim=6, heads=2, layers=1)
     p = init_params(cfg, rng)
@@ -333,25 +404,23 @@ def test_train_sample_budget(separable_trackset, monkeypatch):
     n = derive_cannot_links(ts)
     m = len(ts)
     repel_tracks = sum(1 for i in range(m) if len(n.partners(i)) > 0)
-    cfg = TrainConfig(
-        epochs=2, warmup_epochs=1, max_lr=1e-3, batch_size=4096, seed=0
-    )
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-3, seed=0)
     assert cfg.attract_per_track == 10 and cfg.repel_per_track == 16
 
-    counts = []
-    real = vcl_mod.bucketed_forward
+    rows = []
+    real = vcl_mod._batch_loss_and_gradz
 
-    def counting(params, clips):
-        counts.append(len(clips))
-        return real(params, clips)
+    def counting(z_batch, centres, ys, g):
+        rows.append(len(z_batch))
+        return real(z_batch, centres, ys, g)
 
-    monkeypatch.setattr(vcl_mod, "bucketed_forward", counting)
-    train(ts, n, small_encoder(ts.dim), cfg)
-    # centre (re)initialisation forwards M clips at a time; the training
-    # batches are the ones matching the full per-epoch budget
+    monkeypatch.setattr(vcl_mod, "_batch_loss_and_gradz", counting)
+    seen = []
+    train(ts, n, small_encoder(ts.dim), cfg,
+          on_epoch_end=lambda epoch, params, table: seen.append(sum(rows)))
+    # every sampled clip passes through the loss exactly once per epoch
     expected = 10 * m + 16 * repel_tracks
-    assert expected <= cfg.batch_size  # single batch per epoch here
-    assert counts.count(expected) == cfg.epochs
+    assert np.diff([0] + seen).tolist() == [expected] * cfg.epochs
 
 
 def test_best_sdbw_policy(separable_trackset):
