@@ -20,13 +20,10 @@ from .encoder import (
 )
 from .vcl import (
     CentreTable,
-    Clip,
     TrainConfig,
-    compute_centre_full,
     grad_z,
     onecycle_lr,
     sample_clip_consecutive,
-    sample_clip_uniform,
     train,
     update_centre,
     vc_loss,

@@ -3,9 +3,10 @@ training of a Siamese MLP (frame level) or the transformer (clip level).
 
 tsiam draws each epoch's frame pairs as one index array
 (``constraints.sample_pairs``) and gathers their frames with two fancy
-indexes into one concatenation of the tracks' frames.  Both pairwise modes
-train with ``vcl.OneCycleSGD``, the optimiser of vc, so all three methods
-share one schedule, sized from the epoch's drawn items.
+indexes into one concatenation of the tracks' frames; ct draws one int64
+row per pair of clips and slices their frames with ``vcl.clips_of``.  Both
+pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so all
+three methods share one schedule, sized from the epoch's drawn items.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .vcl import (
     TrainError,
     bucketed_backward,
     bucketed_forward,
+    clips_of,
     sample_clip_consecutive,
 )
 
@@ -172,13 +174,15 @@ def train_pairwise(
         params = enc.init_params(encoder_config, rng)
 
         def draw():
-            pairs = []
+            # One int64 row (track_a, start_a, length_a, track_b, start_b,
+            # length_b, y) per pair of clips.
+            rows = []
             for ti, track in enumerate(tracks):
                 partners = n_matrix.partners(ti)
                 for _ in range(cfg.attract_per_track):
                     ca = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
                     cb = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
-                    pairs.append((ti, ca, ti, cb, 1))
+                    rows.append((ti, *ca, ti, *cb, 1))
                 if len(partners) > 0:
                     for _ in range(cfg.repel_per_track):
                         other = int(partners[rng.integers(len(partners))])
@@ -186,13 +190,11 @@ def train_pairwise(
                         cb = sample_clip_consecutive(
                             tracks[other].length, cfg.clip_cap, rng
                         )
-                        pairs.append((ti, ca, other, cb, 0))
-            return pairs
+                        rows.append((ti, *ca, other, *cb, 0))
+            return np.array(rows, dtype=np.int64)
 
         def inputs(batch):
-            clips_i = [c.slice_of(tracks[ti].embeddings) for ti, c, _, _, _ in batch]
-            clips_j = [c.slice_of(tracks[tj].embeddings) for _, _, tj, c, _ in batch]
-            return clips_i, clips_j, np.array([p[4] for p in batch])
+            return clips_of(tracks, batch[:, :3]), clips_of(tracks, batch[:, 3:6]), batch[:, 6]
 
         def forward(clips):
             return bucketed_forward(params, clips)

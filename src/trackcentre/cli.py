@@ -252,16 +252,16 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise CliError("--checkpoint required unless --method avg")
         kind, params = _load_model(args.checkpoint)
-        if kind == "encoder" and params.config.model_dim != trackset.dim:
+        want = "mlp" if args.method == "tsiam" else "encoder"
+        if kind != want:
             raise CliError(
-                f"checkpoint dim {params.config.model_dim} != tracks dim {trackset.dim}"
+                f"method {args.method} needs an {want} checkpoint, got an {kind} checkpoint"
             )
-        if kind == "mlp" and params.in_dim != trackset.dim:
-            raise CliError(
-                f"checkpoint dim {params.in_dim} != tracks dim {trackset.dim}"
-            )
+        dim = params.config.model_dim if kind == "encoder" else params.in_dim
+        if dim != trackset.dim:
+            raise CliError(f"checkpoint dim {dim} != tracks dim {trackset.dim}")
     reps = _representations(kind, params, trackset)
-    row = _metrics_row(trackset.video_id, args.method or kind, reps, trackset, stop)
+    row = _metrics_row(trackset.video_id, args.method, reps, trackset, stop)
     _write_metrics(args.out, [row])
     print(f"wrote {args.out}: k_pred={row['k_pred']} nmi={row['nmi']} wcp={row['wcp']}")
     return 0

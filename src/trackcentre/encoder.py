@@ -268,7 +268,10 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
     return x[:, 0, :], cache
 
 
-def _head_forward(params: EncoderParams, cls, cache: ForwardCache | None):
+def head_forward(params: EncoderParams, cls, cache: ForwardCache | None = None):
+    """Training head on final class-token states (B, d): LayerNorm and the
+    projection to (B, z_dim).  With ``cache``, records what ``backward``
+    reads."""
     t = params.tensors
     hn, xhat, inv = _ln_forward(cls, t["head.ln.g"], t["head.ln.b"])
     z = hn @ t["head.w"] + t["head.b"]
@@ -284,7 +287,7 @@ def forward_train_batch(params: EncoderParams, clips: list[np.ndarray]):
     """Batched training forward: returns (Z (B, z_dim), ForwardCache)."""
     x, mask = _stack_clips(params, clips)
     cls, cache = _forward_core(params, x, mask, need_cache=True)
-    z = _head_forward(params, cls, cache)
+    z = head_forward(params, cls, cache)
     return z, cache
 
 

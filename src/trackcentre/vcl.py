@@ -5,7 +5,12 @@ Each track owns a latent-space centre.  Clip representations are attracted
 to their own centre and repelled (hinge with margin g) from centres of
 cannot-linked tracks.  Parameters are trained with SGD + momentum under a
 OneCycle schedule; centres take SGD steps at a proportional rate eta = p*xi
-and are periodically re-established by a full-track forward pass.
+and are periodically re-established from whole tracks: the length-chunked
+evaluation forward followed by the training head.
+
+vc draws each epoch as one int64 array, one row
+(track, start, length, y, centre) per clip, and ct as rows of two clips;
+``clips_of`` slices the frames of such rows.
 
 ``OneCycleSGD`` is the one optimiser of vc and of both pairwise baselines
 (ct, tsiam): it shuffles and batches each epoch's drawn items, sizes the
@@ -27,28 +32,13 @@ import numpy as np
 
 from . import encoder as enc
 from .constraints import CannotLinkMatrix
-from .trackio import EmbeddingTrack, TrackSet
+from .trackio import TrackSet
 
 DIST_EPS = 1e-12
 
 
 class TrainError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Clip:
-    """Consecutive frames i..i+j of a track, 1-indexed."""
-
-    start: int  # i
-    extra: int  # j; clip length is j + 1
-
-    def __post_init__(self):
-        if self.start < 1 or self.extra < 0:
-            raise TrainError(f"invalid clip (i={self.start}, j={self.extra})")
-
-    def slice_of(self, embeddings: np.ndarray) -> np.ndarray:
-        return embeddings[self.start - 1 : self.start + self.extra]
 
 
 @dataclass
@@ -103,26 +93,25 @@ class TrainConfig:
             raise TrainError("clip_cap must be >= 2")
 
 
-def sample_clip_consecutive(n: int, cap: int, rng: np.random.Generator) -> Clip:
-    """Sample a consecutive clip: i uniform on {1..n-1}, j uniform on
-    {1..min(n-i, cap-1)}; a length-1 track yields the whole track."""
+def sample_clip_consecutive(n: int, cap: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Sample consecutive frames of an n-frame track as (start, length),
+    start 0-indexed: start uniform on {0..n-2}, then length - 1 uniform on
+    {1..min(n-1-start, cap-1)}.  A length-1 track yields (0, 1)."""
     if n < 1:
         raise TrainError("track length must be >= 1")
     if cap < 2:
         raise TrainError("clip cap must be >= 2")
     if n == 1:
-        return Clip(start=1, extra=0)
+        return 0, 1
     i = int(rng.integers(1, n))
     j = int(rng.integers(1, min(n - i, cap - 1) + 1))
-    return Clip(start=i, extra=j)
+    return i - 1, j + 1
 
 
-def sample_clip_uniform(n: int, length: int, rng: np.random.Generator):
-    """Ablation sampler: ``length`` distinct 1-indexed frames, sorted."""
-    if not (1 <= length <= n):
-        raise TrainError(f"need 1 <= length <= n, got length={length}, n={n}")
-    idx = rng.choice(n, size=length, replace=False)
-    return tuple(sorted(int(i) + 1 for i in idx))
+def clips_of(tracks, rows: np.ndarray) -> list[np.ndarray]:
+    """Frame views of the clips of ``rows``, whose first three columns are
+    (track, start, length); tracks are positions in ``tracks``."""
+    return [tracks[t].embeddings[s : s + n] for t, s, n in rows[:, :3].tolist()]
 
 
 def vc_loss(z, c, y: int, g: float) -> float:
@@ -179,12 +168,6 @@ def update_centre(c, z, y, eta: float, g: float) -> np.ndarray:
     return np.where(moving[..., None], c - eta * (sign[..., None] * unit), c)
 
 
-def compute_centre_full(params: enc.EncoderParams, track: EmbeddingTrack) -> np.ndarray:
-    """Whole-track centre: the training-head output on the full track."""
-    z, _ = enc.forward_train(params, track.embeddings)
-    return z
-
-
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     """Cosine one-cycle schedule: max_lr/25 -> max_lr over the warm-up
     fraction of steps, then cosine decay to max_lr/1e4 at the last step."""
@@ -207,8 +190,8 @@ class OneCycleSGD:
     """SGD with momentum and weight decay on the projection matrices
     (2-D tensors) under ``onecycle_lr``; updates ``tensors`` in place.
 
-    Per epoch, ``batches(items)`` shuffles the drawn items (a list, or an
-    array with one row per item) with ``rng`` and yields them in batches of
+    Per epoch, ``batches(items)`` shuffles the drawn items (an array with
+    one row per item) with ``rng`` and yields them in batches of
     ``cfg.batch_size``.  The schedule lasts
     ``cfg.epochs`` epochs of as many batches as the first epoch holds.  For
     each batch the caller runs its own forward pass, hands the per-item
@@ -231,12 +214,8 @@ class OneCycleSGD:
         self.loss_sum = 0.0
         self.lr = 0.0
 
-    def batches(self, items):
-        order = self.rng.permutation(len(items))
-        if isinstance(items, np.ndarray):
-            items = items[order]
-        else:
-            items = [items[i] for i in order]
+    def batches(self, items: np.ndarray):
+        items = items[self.rng.permutation(len(items))]
         size = self.cfg.batch_size
         if self.total_steps is None:
             self.total_steps = self.cfg.epochs * -(-len(items) // size)
@@ -271,14 +250,6 @@ class OneCycleSGD:
                 raise TrainError(f"non-finite values in parameter {name}")
         self.steps += 1
         return self.lr
-
-
-@dataclass(frozen=True)
-class _Sample:
-    track_idx: int
-    clip: Clip
-    y: int
-    centre_idx: int
 
 
 # Clips per length-sorted chunk of a training batch: small enough that each
@@ -376,8 +347,29 @@ def _update_centres(centres, ci, z, ys, eta: float, g: float) -> None:
 
 
 def init_centres(params: enc.EncoderParams, trackset: TrackSet) -> CentreTable:
-    centres = np.stack([compute_centre_full(params, t) for t in trackset.tracks])
-    return CentreTable(centres=centres)
+    """Whole-track centres: the training head on the class-token states of
+    the length-chunked evaluation forward."""
+    cls = enc.forward_eval_batch(params, [t.embeddings for t in trackset.tracks])
+    return CentreTable(centres=enc.head_forward(params, cls))
+
+
+def _draw_samples(tracks, partner_lists, cfg: TrainConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One epoch of vc samples as int64 rows (track, start, length, y,
+    centre).  Per track: its attract clips (y=1, its own centre), then per
+    repel sample a clip and a random cannot-link partner (y=0, the
+    partner's centre)."""
+    rows = []
+    for ti, track in enumerate(tracks):
+        for _ in range(cfg.attract_per_track):
+            clip = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
+            rows.append((ti, *clip, 1, ti))
+        partners = partner_lists[ti]
+        if len(partners) > 0:
+            for _ in range(cfg.repel_per_track):
+                clip = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
+                rows.append((ti, *clip, 0, partners[rng.integers(len(partners))]))
+    return np.array(rows, dtype=np.int64)
 
 
 def train(
@@ -420,24 +412,10 @@ def train(
             raise TrainError("best_sdbw checkpoint policy needs >= 2 identities")
 
     for epoch in range(1, cfg.epochs + 1):
-        samples: list[_Sample] = []
-        for ti, track in enumerate(tracks):
-            for _ in range(cfg.attract_per_track):
-                clip = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
-                samples.append(_Sample(ti, clip, 1, ti))
-            partners = partner_lists[ti]
-            if len(partners) > 0:
-                for _ in range(cfg.repel_per_track):
-                    clip = sample_clip_consecutive(track.length, cfg.clip_cap, rng)
-                    other = int(partners[rng.integers(len(partners))])
-                    samples.append(_Sample(ti, clip, 0, other))
-
-        for batch in opt.batches(samples):
-            clips = [s.clip.slice_of(tracks[s.track_idx].embeddings) for s in batch]
-            ys = np.array([s.y for s in batch])
-            ci = np.array([s.centre_idx for s in batch])
+        for batch in opt.batches(_draw_samples(tracks, partner_lists, cfg, rng)):
+            ys, ci = batch[:, 3], batch[:, 4]
             z_batch, losses, grads = streamed_step(
-                params, clips, table.centres[ci], ys, cfg.margin
+                params, clips_of(tracks, batch), table.centres[ci], ys, cfg.margin
             )
             opt.add_losses(losses)
             lr = opt.step(grads)

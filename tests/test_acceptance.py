@@ -32,7 +32,7 @@ from trackcentre import (
     vc_loss,
     wcp,
 )
-from trackcentre.encoder import forward_eval_batch
+from trackcentre.encoder import forward_eval_batch, head_forward
 
 from conftest import random_trackset
 from test_clustereval import oracle_nmi, oracle_wcp, random_partition_pair
@@ -221,8 +221,6 @@ def test_criterion_3_permutation_invariance(capsys):
 def test_criterion_4_centre_consistency(capsys):
     desc = "CentreTable bitwise equals full recompute at epochs 50/100/150"
     with _Criterion(capsys, 4, desc):
-        from trackcentre import compute_centre_full
-
         spec = SyntheticSpec(
             identity_count=2, tracks_per_identity=4, dim=8,
             min_length=3, max_length=6, noise_scale=0.05,
@@ -240,9 +238,8 @@ def test_criterion_4_centre_consistency(capsys):
 
         def on_epoch_end(epoch, params, table):
             if epoch % 50 == 0:
-                for i, track in enumerate(ts.tracks):
-                    expect = compute_centre_full(params, track)
-                    assert np.array_equal(table.centres[i], expect)
+                cls = forward_eval_batch(params, [t.embeddings for t in ts.tracks])
+                assert np.array_equal(table.centres, head_forward(params, cls))
                 checked.append(epoch)
 
         train(ts, n_matrix, enc_cfg, cfg, on_epoch_end=on_epoch_end)

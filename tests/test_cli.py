@@ -181,3 +181,28 @@ def test_tsiam_train_and_eval(tracks_path, tmp_path):
                 out / "checkpoint.tcv1", "--method", "tsiam",
                 "--known-k", 2, "--out", metrics]) == 0
     assert read_csv(metrics)[0]["method"] == "tsiam"
+
+
+def test_eval_rejects_method_of_another_checkpoint_kind(tracks_path, tmp_path, capsys):
+    """A checkpoint is evaluated only under a method of its own kind: tsiam
+    needs an mlp checkpoint, vc and ct an encoder checkpoint."""
+    mlp, encoder = tmp_path / "mlp", tmp_path / "vc"
+    assert run(train_args(tracks_path, mlp, method="tsiam", epochs=2)) == 0
+    assert run(train_args(tracks_path, encoder, method="vc", epochs=2)) == 0
+    capsys.readouterr()
+    metrics = tmp_path / "m.csv"
+    cases = [
+        (mlp, [], "method vc needs an encoder checkpoint, got an mlp checkpoint"),
+        (mlp, ["--method", "ct"], "method ct needs an encoder checkpoint"),
+        (encoder, ["--method", "tsiam"], "method tsiam needs an mlp checkpoint"),
+    ]
+    for model, method, message in cases:
+        assert run(["eval", "--tracks", tracks_path, "--checkpoint",
+                    model / "checkpoint.tcv1", *method,
+                    "--known-k", 2, "--out", metrics]) == 1
+        assert message in capsys.readouterr().err
+    assert not metrics.exists()
+    assert run(["eval", "--tracks", tracks_path, "--checkpoint",
+                encoder / "checkpoint.tcv1", "--method", "ct",
+                "--known-k", 2, "--out", metrics]) == 0
+    assert read_csv(metrics)[0]["method"] == "ct"

@@ -1,4 +1,4 @@
-"""Clip samplers, video-centralised loss/gradients, schedule and trainer."""
+"""Clip sampler, epoch rows, vc loss/gradients, centres, schedule and trainer."""
 
 import warnings
 
@@ -6,28 +6,28 @@ import numpy as np
 import pytest
 
 from trackcentre import (
-    Clip,
     EncoderConfig,
     TrainConfig,
-    compute_centre_full,
     derive_cannot_links,
-    forward_train,
     grad_z,
     init_params,
     onecycle_lr,
     sample_clip_consecutive,
-    sample_clip_uniform,
     train,
     update_centre,
     vc_loss,
 )
+from trackcentre import encoder as enc
 from trackcentre.trackio import TrackSet
 from trackcentre.vcl import (
     TrainError,
     _batch_loss_and_gradz,
+    _draw_samples,
     _update_centres,
     bucketed_backward,
     bucketed_forward,
+    clips_of,
+    init_centres,
     streamed_step,
     write_history_csv,
 )
@@ -35,69 +35,35 @@ from trackcentre.vcl import (
 from conftest import loss_batch, make_track
 
 
-def test_clip_invariants():
-    Clip(start=1, extra=0)
-    with pytest.raises(TrainError):
-        Clip(start=0, extra=1)
-    with pytest.raises(TrainError):
-        Clip(start=1, extra=-1)
-
-
-def test_clip_slice(rng):
-    emb = rng.standard_normal((6, 3))
-    c = Clip(start=2, extra=3)  # frames 2..5, 1-indexed
-    assert np.array_equal(c.slice_of(emb), emb[1:5])
-
-
 def test_sampler_n1():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        c = sample_clip_consecutive(1, 90, rng)
-        assert (c.start, c.extra) == (1, 0)
+        assert sample_clip_consecutive(1, 90, rng) == (0, 1)
 
 
 def test_sampler_n2():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        c = sample_clip_consecutive(2, 90, rng)
-        assert (c.start, c.extra) == (1, 1)
+        assert sample_clip_consecutive(2, 90, rng) == (0, 2)
 
 
 def test_sampler_support_enumeration():
-    """1e5 draws at n=10 hit exactly {(i, j): 1<=i<=9, 1<=j<=10-i}."""
+    """1e5 draws at n=10 hit exactly {(s, l): 0<=s<=8, 2<=l<=10-s}."""
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(100_000):
-        c = sample_clip_consecutive(10, 90, rng)
-        seen.add((c.start, c.extra))
-        assert 1 <= c.start <= 9
-        assert 1 <= c.extra <= 10 - c.start
-    expected = {(i, j) for i in range(1, 10) for j in range(1, 11 - i)}
+        start, length = sample_clip_consecutive(10, 90, rng)
+        assert type(start) is int and type(length) is int
+        seen.add((start, length))
+    expected = {(s, l) for s in range(0, 9) for l in range(2, 11 - s)}
     assert seen == expected
 
 
 def test_sampler_cap():
     rng = np.random.default_rng(2)
     for _ in range(2000):
-        c = sample_clip_consecutive(50, 5, rng)
-        assert c.extra + 1 <= 5
-
-
-def test_uniform_sampler():
-    rng = np.random.default_rng(3)
-    assert sample_clip_uniform(3, 3, rng) == (1, 2, 3)
-    assert sample_clip_uniform(1, 1, rng) == (1,)
-    with pytest.raises(TrainError):
-        sample_clip_uniform(3, 4, rng)
-
-    counts = {}
-    draws = 100_000
-    for _ in range(draws):
-        s = sample_clip_uniform(5, 2, rng)
-        counts[s] = counts.get(s, 0) + 1
-    assert len(counts) == 10
-    for c in counts.values():
-        assert abs(c / draws - 0.1) <= 0.01
+        start, length = sample_clip_consecutive(50, 5, rng)
+        assert 2 <= length <= 5 and start + length <= 50
 
 
 def test_vc_loss_values():
@@ -259,16 +225,51 @@ def test_streamed_step_bit_identical_to_bucketed(rng):
             assert np.array_equal(grads[name], grads_ref[name]), name
 
 
-def test_compute_centre_full_definition(rng):
-    cfg = EncoderConfig(model_dim=6, heads=2, layers=1)
-    p = init_params(cfg, rng)
-    t = make_track(0, 0, 4, 6, rng)
-    c = compute_centre_full(p, t)
-    z, _ = forward_train(p, t.embeddings)
-    assert np.array_equal(c, z)
+def test_init_centres_match_single_track_head(rng):
+    """Centres from the length-chunked forward plus the head equal the
+    training head on each whole track alone, within rounding: 19 tracks of
+    mixed lengths (two of length 1) make one ragged chunk."""
+    lengths = [5, 1, 9, 3, 12, 7, 2, 11, 4, 8, 6, 10, 1, 3, 9, 2, 12, 5, 7]
+    tracks = tuple(make_track(i, 0, n, 8, rng) for i, n in enumerate(lengths))
+    ts = TrackSet(tracks=tracks, dim=8, video_id="v")
+    for cfg in (
+        EncoderConfig(model_dim=8, heads=2, layers=2),
+        EncoderConfig(model_dim=8, heads=2, layers=3, use_positional_embedding=True,
+                      max_positions=12),
+    ):
+        p = init_params(cfg, rng)
+        centres = init_centres(p, ts).centres
+        assert centres.shape == (len(tracks), cfg.head_out_dim)
+        for i, t in enumerate(tracks):
+            single = enc.forward_train_batch(p, [t.embeddings])[0][0]
+            np.testing.assert_allclose(centres[i], single, rtol=0, atol=1e-12)
 
-    one = make_track(1, 0, 1, 6, rng)
-    assert np.all(np.isfinite(compute_centre_full(p, one)))
+
+def test_epoch_rows(separable_trackset):
+    """Every row of one vc epoch: the clip lies inside its track and is at
+    most clip_cap frames long, attract rows point at their own track's
+    centre and repel rows at a cannot-link partner's."""
+    ts = separable_trackset
+    n = derive_cannot_links(ts)
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, clip_cap=4, seed=0)
+    partner_lists = [n.partners(i) for i in range(len(ts))]
+    rows = _draw_samples(ts.tracks, partner_lists, cfg, np.random.default_rng(3))
+    assert rows.dtype == np.int64 and rows.shape[1] == 5
+    track, start, length, ys, centre = rows.T
+    lengths = np.array([t.length for t in ts.tracks])
+    assert np.all((start >= 0) & (length >= 1) & (length <= cfg.clip_cap))
+    assert np.all(start + length <= lengths[track])
+    assert np.all(length >= np.minimum(2, lengths[track]))
+    assert set(ys.tolist()) == {0, 1}
+    assert np.array_equal(centre[ys == 1], track[ys == 1])
+    assert all(n.bits[t, c] for t, c in zip(track[ys == 0], centre[ys == 0]))
+    attract = np.bincount(track[ys == 1], minlength=len(ts))
+    repel = np.bincount(track[ys == 0], minlength=len(ts))
+    assert np.all(attract == cfg.attract_per_track)
+    assert np.array_equal(repel, [cfg.repel_per_track * (len(p) > 0) for p in partner_lists])
+    for (t, s, l), clip in zip(rows[:, :3], clips_of(ts.tracks, rows)):
+        assert clip.base is not None  # a view, not a copy
+        assert np.array_equal(clip, ts.tracks[t].embeddings[s : s + l])
 
 
 def test_onecycle_endpoints():
@@ -292,7 +293,7 @@ def test_optimiser_rejects_non_finite():
 
     cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=2)
     opt = OneCycleSGD({"w": np.zeros((2, 2))}, cfg, np.random.default_rng(0))
-    batches = opt.batches([0, 1, 2])
+    batches = opt.batches(np.arange(3))
     assert len(next(batches)) == 2
     assert opt.total_steps == 4
     with pytest.raises(TrainError, match="non-finite loss at epoch 1, batch 0"):
@@ -387,9 +388,8 @@ def test_centre_recompute_consistency(separable_trackset):
 
     def on_epoch_end(epoch, params, table):
         if epoch % cfg.centre_recompute_interval == 0:
-            for i, track in enumerate(ts.tracks):
-                expect = compute_centre_full(params, track)
-                assert np.array_equal(table.centres[i], expect)
+            cls = enc.forward_eval_batch(params, [t.embeddings for t in ts.tracks])
+            assert np.array_equal(table.centres, enc.head_forward(params, cls))
             checked.append(epoch)
 
     train(ts, n, small_encoder(ts.dim), cfg, on_epoch_end=on_epoch_end)
