@@ -2,11 +2,13 @@
 training of a Siamese MLP (frame level) or the transformer (clip level).
 
 tsiam draws each epoch's frame pairs as one index array
-(``constraints.sample_pairs``) and gathers their frames with two fancy
-indexes into one concatenation of the tracks' frames; ct draws one int64
-row per pair of clips and slices their frames with ``vcl.clips_of``.  Both
-pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so all
-three methods share one schedule, sized from the epoch's drawn items.
+(``constraints.sample_pairs``) and gathers their frames with one fancy index
+into one concatenation of the tracks' frames; ct draws one int64 row per
+pair of clips and slices their frames with ``vcl.clips_of``.  Both
+interleave the two sides of each pair (a0, b0, a1, b1, ...), so a batch runs
+through one forward and one backward call.  Both pairwise modes train with
+``vcl.OneCycleSGD``, the optimiser of vc, so all three methods share one
+schedule, sized from the epoch's drawn items.
 """
 
 from __future__ import annotations
@@ -157,9 +159,7 @@ def train_pairwise(
             )
 
         def inputs(batch):
-            xi = frames[offsets[batch[:, 0]] + batch[:, 1]]
-            xj = frames[offsets[batch[:, 2]] + batch[:, 3]]
-            return xi, xj, batch[:, 4]
+            return frames[(offsets[batch[:, [0, 2]]] + batch[:, [1, 3]]).ravel()]
 
         def forward(x):
             z, pre = mlp_forward(params, x)
@@ -194,7 +194,7 @@ def train_pairwise(
             return np.array(rows, dtype=np.int64)
 
         def inputs(batch):
-            return clips_of(tracks, batch[:, :3]), clips_of(tracks, batch[:, 3:6]), batch[:, 6]
+            return clips_of(tracks, batch[:, :6].reshape(-1, 3))
 
         def forward(clips):
             return bucketed_forward(params, clips)
@@ -211,13 +211,12 @@ def train_pairwise(
     history = []
     for epoch in range(1, cfg.epochs + 1):
         for batch in opt.batches(draw()):
-            xi, xj, ys = inputs(batch)
-            zi, cache_i = forward(xi)
-            zj, cache_j = forward(xj)
-            losses, dzi, dzj = _pair_loss_grads(zi, zj, ys, cfg.margin)
+            n = len(batch)
+            z, cache = forward(inputs(batch))
+            z = z.reshape(n, 2, -1)
+            losses, dzi, dzj = _pair_loss_grads(z[:, 0], z[:, 1], batch[:, -1], cfg.margin)
             opt.add_losses(losses)
-            gi = backward(cache_i, dzi / len(batch))
-            gj = backward(cache_j, dzj / len(batch))
-            opt.step({n: gi[n] + gj[n] for n in gi})
+            opt.step(backward(cache, np.stack((dzi, dzj), axis=1).reshape(2 * n, -1) / n))
+            del cache  # freed before the next batch's forward pass
         history.append(dict(epoch=epoch, mean_loss=opt.mean_loss, lr=opt.lr, sdbw=None))
     return params, history

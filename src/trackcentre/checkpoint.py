@@ -41,21 +41,31 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a TCV1 checkpoint")
+    if len(data) < 12:
+        raise CheckpointError(f"{path}: truncated header length")
     (hlen,) = struct.unpack("<Q", data[4:12])
     try:
         header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not (isinstance(header, dict) and "meta" in header
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(f"{path}: header lacks its meta or tensor index")
     offset = 12 + hlen
     tensors = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from exc
+        if min(shape, default=0) < 0:
+            raise CheckpointError(f"{path}: negative shape in tensor entry {entry!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + count * 8
         if end > len(data):
             raise CheckpointError(f"{path}: truncated tensor payload")
         arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64)
-        tensors[entry["name"]] = arr.reshape(shape)
+        tensors[name] = arr.reshape(shape)
         offset = end
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")

@@ -126,11 +126,28 @@ def _save_model(path, kind: str, params) -> None:
 
 
 def _load_model(path):
+    """Load a checkpoint as (kind, params).  An encoder checkpoint must hold
+    exactly the tensors, and shapes, that ``init_params`` makes for its
+    config; any other layout raises ``CheckpointError`` naming the file."""
     meta, tensors = checkpoint.load_checkpoint(path)
-    if meta["kind"] == "encoder":
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind == "mlp":
+        return "mlp", baselines.SiameseMlpParams(tensors=tensors)
+    if kind != "encoder":
+        raise checkpoint.CheckpointError(f"{path}: unknown model kind {kind!r}")
+    try:
         cfg = enc.EncoderConfig(**meta["config"])
-        return "encoder", enc.EncoderParams(config=cfg, tensors=tensors)
-    return "mlp", baselines.SiameseMlpParams(tensors=tensors)
+    except (KeyError, TypeError, enc.EncoderError) as exc:
+        raise checkpoint.CheckpointError(f"{path}: bad encoder config: {exc}") from exc
+    want = enc.init_params(cfg, np.random.default_rng(0)).tensors
+    for name in sorted(want.keys() | tensors.keys()):
+        got = tensors[name].shape if name in tensors else "missing"
+        need = want[name].shape if name in want else "no such tensor"
+        if got != need:
+            raise checkpoint.CheckpointError(
+                f"{path}: tensor {name!r} is {got}; an encoder of this config needs {need}"
+            )
+    return "encoder", enc.EncoderParams(config=cfg, tensors=tensors)
 
 
 def _representations(kind: str, params, trackset: TrackSet) -> np.ndarray:

@@ -72,13 +72,12 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations of one batched forward pass."""
+    """What ``backward`` reads of one batched forward pass, and the mask."""
 
     params: EncoderParams
     x0: np.ndarray  # (B, S, d) input with class token
     mask: np.ndarray  # (B, S) True where valid
     layers: list[dict] = field(default_factory=list)
-    cls_final: np.ndarray | None = None  # (B, d)
     head_xhat: np.ndarray | None = None
     head_inv: np.ndarray | None = None
     head_hn: np.ndarray | None = None
@@ -101,9 +100,10 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
         p = f"layers.{i}"
         t[f"{p}.ln1.g"] = np.ones(d)
         t[f"{p}.ln1.b"] = np.zeros(d)
-        for w in ("q", "k", "v", "o"):
-            t[f"{p}.attn.w{w}"] = proj(d, d)
-            t[f"{p}.attn.b{w}"] = np.zeros(d)
+        t[f"{p}.attn.wqkv"] = np.concatenate([proj(d, d) for _ in "qkv"], axis=1)
+        t[f"{p}.attn.bqkv"] = np.zeros(3 * d)
+        t[f"{p}.attn.wo"] = proj(d, d)
+        t[f"{p}.attn.bo"] = np.zeros(d)
         t[f"{p}.ln2.g"] = np.ones(d)
         t[f"{p}.ln2.b"] = np.zeros(d)
         t[f"{p}.mlp.w1"] = proj(d, m)
@@ -228,14 +228,8 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
     for i in range(cfg.layers):
         p = f"layers.{i}"
         sq = 1 if i == cfg.layers - 1 else s
-        wqkv = np.concatenate(
-            [t[f"{p}.attn.wq"], t[f"{p}.attn.wk"], t[f"{p}.attn.wv"]], axis=1
-        )
-        bqkv = np.concatenate(
-            [t[f"{p}.attn.bq"], t[f"{p}.attn.bk"], t[f"{p}.attn.bv"]]
-        )
         xn1, xhat1, inv1 = _ln_forward(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
-        qkv = xn1.reshape(b * s, d) @ wqkv + bqkv
+        qkv = xn1.reshape(b * s, d) @ t[f"{p}.attn.wqkv"] + t[f"{p}.attn.bqkv"]
         # (B*S, 3d) -> three (B, h, S, dh)
         qkv = qkv.reshape(b, s, 3, h, dh).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0][:, :, :sq], qkv[1], qkv[2]
@@ -258,9 +252,9 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
         if need_cache:
             cache.layers.append(
                 dict(
-                    x_in=x, xhat1=xhat1, inv1=inv1, xn1=xn1,
+                    xhat1=xhat1, inv1=inv1, xn1=xn1,
                     q=q, k=k, v=v, probs=probs, o=o,
-                    x_mid=x_mid, xhat2=xhat2, inv2=inv2, xn2=xn2,
+                    xhat2=xhat2, inv2=inv2, xn2=xn2,
                     pre=pre, phi=phi, act=act,
                 )
             )
@@ -276,7 +270,6 @@ def head_forward(params: EncoderParams, cls, cache: ForwardCache | None = None):
     hn, xhat, inv = _ln_forward(cls, t["head.ln.g"], t["head.ln.b"])
     z = hn @ t["head.w"] + t["head.b"]
     if cache is not None:
-        cache.cls_final = cls
         cache.head_xhat = xhat
         cache.head_inv = inv
         cache.head_hn = hn
@@ -356,7 +349,7 @@ def backward(
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}"
         c = cache.layers[i]
-        sq = c["x_mid"].shape[1]
+        sq = 1 if i == cfg.layers - 1 else s
 
         # MLP branch: x_out = x_mid + gelu(xn2 @ w1 + b1) @ w2 + b2
         d_out2 = dx.reshape(b * sq, d)
@@ -394,18 +387,9 @@ def backward(
         dqkv[:, :, d : 2 * d] = dk.transpose(0, 2, 1, 3).reshape(b, s, d)
         dqkv[:, :, 2 * d :] = dv.transpose(0, 2, 1, 3).reshape(b, s, d)
         dqkv = dqkv.reshape(b * s, 3 * d)
-        wqkv = np.concatenate(
-            [t[f"{p}.attn.wq"], t[f"{p}.attn.wk"], t[f"{p}.attn.wv"]], axis=1
-        )
-        dwqkv = c["xn1"].reshape(b * s, d).T @ dqkv
-        dbqkv = dqkv.sum(axis=0)
-        grads[f"{p}.attn.wq"] = dwqkv[:, :d]
-        grads[f"{p}.attn.wk"] = dwqkv[:, d : 2 * d]
-        grads[f"{p}.attn.wv"] = dwqkv[:, 2 * d :]
-        grads[f"{p}.attn.bq"] = dbqkv[:d]
-        grads[f"{p}.attn.bk"] = dbqkv[d : 2 * d]
-        grads[f"{p}.attn.bv"] = dbqkv[2 * d :]
-        dxn1 = (dqkv @ wqkv.T).reshape(b, s, d)
+        grads[f"{p}.attn.wqkv"] = c["xn1"].reshape(b * s, d).T @ dqkv
+        grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=0)
+        dxn1 = (dqkv @ t[f"{p}.attn.wqkv"].T).reshape(b, s, d)
         # Without positional embedding only the class-token row of block
         # 0's input gradient is read.
         rows = 1 if i == 0 and not cfg.use_positional_embedding else None
@@ -420,10 +404,7 @@ def backward(
     grads["class_token"] = dx[:, 0, :].sum(axis=0)
     if cfg.use_positional_embedding:
         pe_grad = grads["pos_embedding"] = np.zeros_like(t["pos_embedding"])
-        lens = cache.mask.sum(axis=1) - 1
-        for bi in range(b):
-            n = int(lens[bi])
-            pe_grad[:n] += dx[bi, 1 : 1 + n, :]
+        pe_grad[: s - 1] = dx[:, 1:].sum(axis=0)  # padded rows of dx are 0
     return {name: grads[name] for name in t}
 
 

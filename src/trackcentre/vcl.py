@@ -20,7 +20,8 @@ weight-decay update, so the three methods train under the same schedule.
 vc streams each batch through the encoder one length-sorted chunk at a
 time (``streamed_step``), so only one chunk's activations are alive; ct
 keeps all of a batch's chunks (``bucketed_forward``/``bucketed_backward``)
-because its pair loss couples two forward passes.
+because its pair loss couples the two clips of a pair, which may fall in
+different chunks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
+from .clustereval import KnownK, hac, sdbw as sdbw_index
 from .constraints import CannotLinkMatrix
 from .trackio import TrackSet
 
@@ -262,10 +264,10 @@ def bucketed_forward(params: enc.EncoderParams, clips: list[np.ndarray]):
     """Forward a batch of variable-length clips in length-sorted chunks,
     keeping every chunk's cache for ``bucketed_backward``.
 
-    Serves ct, whose pair loss couples two forward passes; vc streams its
-    chunks through ``streamed_step`` instead.  Results equal one padded
-    batch within rounding.  Returns (z in original order, list of
-    (index array, cache)).
+    Serves ct, whose pair loss couples the two clips of a pair, which may
+    fall in different chunks; vc streams its chunks through
+    ``streamed_step`` instead.  Results equal one padded batch within
+    rounding.  Returns (z in original order, list of (index array, cache)).
     """
     z = np.empty((len(clips), params.config.head_out_dim))
     caches = []
@@ -428,8 +430,6 @@ def train(
 
         sdbw_val = None
         if cfg.checkpoint_policy == "best_sdbw":
-            from .clustereval import KnownK, hac, sdbw as sdbw_index
-
             reps = enc.forward_eval_batch(params, [t.embeddings for t in tracks])
             assign = hac(reps, linkage="average", stop=KnownK(sdbw_k))
             sdbw_val = sdbw_index(reps, assign.as_array())

@@ -11,6 +11,7 @@ from trackcentre import (
     temporal_average,
     train_pairwise,
 )
+from trackcentre import baselines
 from trackcentre.baselines import (
     SiameseMlpParams,
     _pair_loss_grads,
@@ -20,7 +21,7 @@ from trackcentre.baselines import (
     track_representation_mlp,
 )
 from trackcentre.trackio import TrackSet
-from trackcentre.vcl import TrainError
+from trackcentre.vcl import _CHUNK, OneCycleSGD, TrainError
 
 from conftest import loss_batch, make_track
 
@@ -236,3 +237,108 @@ def test_train_pairwise_deterministic(separable_trackset):
     d, _ = train_pairwise("transformer", ts, n, baseline_config(), encoder_config=enc_cfg)
     for name in c.tensors:
         assert np.array_equal(c.tensors[name], d.tensors[name])
+
+
+class RecordingSGD(OneCycleSGD):
+    """OneCycleSGD that records, per batch, the batch, the tensors before
+    its update and the gradients the update received."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+        RecordingSGD.last = self
+
+    def batches(self, items):
+        for batch in super().batches(items):
+            self.seen.append([batch, {n: t.copy() for n, t in self.tensors.items()}])
+            yield batch
+
+    def step(self, grads):
+        self.seen[-1].append({n: g.copy() for n, g in grads.items()})
+        return super().step(grads)
+
+
+def two_pass_reference(forward, backward, side_a, side_b, ys, g):
+    """The pair step as two separate passes: forward each side, backward
+    each side with its half of dL/dz, sum the gradients."""
+    za, cache_a = forward(side_a)
+    zb, cache_b = forward(side_b)
+    _, dza, dzb = _pair_loss_grads(za, zb, ys, g)
+    ga = backward(cache_a, dza / len(ys))
+    gb = backward(cache_b, dzb / len(ys))
+    return za, zb, {n: ga[n] + gb[n] for n in ga}
+
+
+@pytest.mark.parametrize("kind", ["transformer", "transformer+pe", "mlp"])
+def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
+    """Each batch of ct and tsiam training runs both sides of its pairs
+    through one forward and one backward call.  Its z and gradients equal
+    those of two separate passes, one per side, within 1e-12.  ct's clips
+    have mixed lengths and span several length-sorted chunks; its
+    reference runs each side as one padded batch."""
+    from trackcentre import SyntheticSpec, generate_synthetic
+    from trackcentre import encoder as enc
+
+    ts = generate_synthetic(SyntheticSpec(
+        identity_count=3, tracks_per_identity=4, dim=8, min_length=2,
+        max_length=30, cooccurrence_density=0.15, seed=3,
+    ))
+    tracks = ts.tracks
+    n = derive_cannot_links(ts)
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-2, batch_size=64,
+                      attract_per_track=4, repel_per_track=4, seed=0)
+    zs = []
+
+    def spy(zi, zj, ys, g):
+        zs.append((zi.copy(), zj.copy()))
+        return _pair_loss_grads(zi, zj, ys, g)
+
+    monkeypatch.setattr(baselines, "_pair_loss_grads", spy)
+    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    if kind == "mlp":
+        train_pairwise("mlp", ts, n, cfg)
+    else:
+        enc_cfg = EncoderConfig(model_dim=8, heads=2, layers=2, head_out_dim=2,
+                                use_positional_embedding=kind.endswith("+pe"))
+        train_pairwise("transformer", ts, n, cfg, encoder_config=enc_cfg)
+    seen = RecordingSGD.last.seen
+    assert len(seen) == len(zs) == 4
+
+    for (batch, before, grads), (zi, zj) in zip(seen, zs):
+        if kind == "mlp":
+            p = SiameseMlpParams(tensors=before)
+
+            def forward(x):
+                z, pre = mlp_forward(p, x)
+                return z, (x, pre)
+
+            def backward(cache, dz):
+                return mlp_backward(p, *cache, dz)
+
+            def side(cols):
+                return np.stack([tracks[t].embeddings[f] for t, f in batch[:, cols]])
+
+            side_a, side_b = side([0, 1]), side([2, 3])
+        else:
+            p = enc.EncoderParams(config=enc_cfg, tensors=before)
+
+            def forward(clips):
+                return enc.forward_train_batch(p, clips)
+
+            def backward(cache, dz):
+                return enc.backward(p, cache, dz)
+
+            def side(cols):
+                return [tracks[t].embeddings[s : s + m] for t, s, m in batch[:, cols]]
+
+            side_a, side_b = side([0, 1, 2]), side([3, 4, 5])
+            # several length-sorted chunks of mixed lengths
+            assert len(side_a) + len(side_b) > _CHUNK
+            assert len({c.shape[0] for c in side_a + side_b}) > 5
+        za, zb, ref = two_pass_reference(forward, backward, side_a, side_b,
+                                         batch[:, -1], cfg.margin)
+        assert np.max(np.abs(zi - za)) <= 1e-12
+        assert np.max(np.abs(zj - zb)) <= 1e-12
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12, name

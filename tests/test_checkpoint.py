@@ -1,5 +1,8 @@
 """TCV1 checkpoint container round-trips and corruption handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -51,3 +54,30 @@ def test_trailing_bytes(tmp_path, rng):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+def header_bytes(header) -> bytes:
+    body = json.dumps(header).encode("utf-8")
+    return b"TCV1" + struct.pack("<Q", len(body)) + body
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"TCV1\x05\x00\x00", "truncated header length"),
+    (header_bytes({"meta": {}}), "lacks its meta or tensor index"),
+    (header_bytes({"tensors": []}), "lacks its meta or tensor index"),
+    (header_bytes([1, 2]), "lacks its meta or tensor index"),
+    (header_bytes({"meta": {}, "tensors": [{"name": "w"}]}), "malformed tensor entry"),
+    (header_bytes({"meta": {}, "tensors": [{"shape": [2]}]}), "malformed tensor entry"),
+    (header_bytes({"meta": {}, "tensors": [{"name": "w", "shape": [None]}]}),
+     "malformed tensor entry"),
+    (header_bytes({"meta": {}, "tensors": [{"name": "w", "shape": [2, -3]}]}),
+     "negative shape"),
+])
+def test_malformed_header_raises_checkpoint_error(tmp_path, data, message):
+    """A malformed file raises CheckpointError naming the file, never a
+    bare struct.error, KeyError, TypeError or ValueError."""
+    path = tmp_path / "bad.tcv1"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)

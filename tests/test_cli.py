@@ -206,3 +206,37 @@ def test_eval_rejects_method_of_another_checkpoint_kind(tracks_path, tmp_path, c
                 encoder / "checkpoint.tcv1", "--method", "ct",
                 "--known-k", 2, "--out", metrics]) == 0
     assert read_csv(metrics)[0]["method"] == "ct"
+
+
+def test_eval_rejects_checkpoint_of_another_layout(tracks_path, tmp_path, capsys):
+    """An encoder checkpoint in the split q/k/v layout written before the
+    fused ``attn.wqkv``/``attn.bqkv`` tensors, or one of an unknown kind,
+    makes eval exit 1 with a message naming the file."""
+    from trackcentre.checkpoint import load_checkpoint, save_checkpoint
+
+    model = tmp_path / "vc"
+    assert run(train_args(tracks_path, model, epochs=2)) == 0
+    meta, tensors = load_checkpoint(model / "checkpoint.tcv1")
+    split = {}
+    for name, tensor in tensors.items():
+        if name.endswith(("attn.wqkv", "attn.bqkv")):
+            prefix, kind = name[:-4], name[-4]  # "layers.0.attn.", "w" or "b"
+            for part, block in zip("qkv", np.split(tensor, 3, axis=-1)):
+                split[f"{prefix}{kind}{part}"] = block
+        else:
+            split[name] = tensor
+    old, unknown = tmp_path / "old.tcv1", tmp_path / "unknown.tcv1"
+    save_checkpoint(old, meta, split)
+    save_checkpoint(unknown, {"kind": "cnn", "config": None}, tensors)
+    capsys.readouterr()
+    metrics = tmp_path / "m.csv"
+    cases = [
+        (old, "tensor 'layers.0.attn.bk' is (8,); an encoder of this config needs no such tensor"),
+        (unknown, "unknown model kind 'cnn'"),
+    ]
+    for path, message in cases:
+        assert run(["eval", "--tracks", tracks_path, "--checkpoint", path,
+                    "--known-k", 2, "--out", metrics]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+    assert not metrics.exists()

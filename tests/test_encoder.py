@@ -54,18 +54,13 @@ def naive_forward(params, clip):
     for li in range(cfg.layers):
         p = f"layers.{li}"
         normed = [ln(tok, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"]) for tok in tokens]
-        q = [
-            [a + b for a, b in zip(matvec(t[f"{p}.attn.wq"], n), t[f"{p}.attn.bq"])]
-            for n in normed
-        ]
-        k = [
-            [a + b for a, b in zip(matvec(t[f"{p}.attn.wk"], n), t[f"{p}.attn.bk"])]
-            for n in normed
-        ]
-        v = [
-            [a + b for a, b in zip(matvec(t[f"{p}.attn.wv"], n), t[f"{p}.attn.bv"])]
-            for n in normed
-        ]
+        # q, k and v are the three column blocks of the fused projection.
+        wqkv, bqkv = t[f"{p}.attn.wqkv"], t[f"{p}.attn.bqkv"]
+        wq, wk, wv = wqkv[:, :d], wqkv[:, d : 2 * d], wqkv[:, 2 * d :]
+        bq, bk, bv = bqkv[:d], bqkv[d : 2 * d], bqkv[2 * d :]
+        q = [[a + b for a, b in zip(matvec(wq, n), bq)] for n in normed]
+        k = [[a + b for a, b in zip(matvec(wk, n), bk)] for n in normed]
+        v = [[a + b for a, b in zip(matvec(wv, n), bv)] for n in normed]
         merged = []
         for qi in range(s):
             out_row = [0.0] * d
