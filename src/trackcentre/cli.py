@@ -125,13 +125,37 @@ def _save_model(path, kind: str, params) -> None:
     checkpoint.save_checkpoint(path, meta, params.tensors)
 
 
+def _shape(shape) -> str:
+    return f"({', '.join(map(str, shape))}{',' if len(shape) == 1 else ''})"
+
+
+def _check_tensors(path, tensors, want, model: str) -> None:
+    """Raise CheckpointError naming the file and the first tensor that is
+    missing or not in ``want`` (name -> shape), in name order, or else the
+    first, in ``want`` order, whose shape differs."""
+    names = sorted(want.keys() ^ tensors.keys()) + list(want)
+    for name in names:
+        got = _shape(tensors[name].shape) if name in tensors else "missing"
+        need = _shape(want[name]) if name in want else "no such tensor"
+        if got != need:
+            raise checkpoint.CheckpointError(
+                f"{path}: tensor {name!r} is {got}; {model} needs {need}"
+            )
+
+
 def _load_model(path):
     """Load a checkpoint as (kind, params).  An encoder checkpoint must hold
     exactly the tensors, and shapes, that ``init_params`` makes for its
-    config; any other layout raises ``CheckpointError`` naming the file."""
+    config, an mlp checkpoint exactly w1 (d, h), b1 (h,), w2 (h, z) and
+    b2 (z,); any other layout raises ``CheckpointError`` naming the file."""
     meta, tensors = checkpoint.load_checkpoint(path)
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind == "mlp":
+        w1, w2 = tensors.get("w1"), tensors.get("w2")
+        d, h = w1.shape if w1 is not None and w1.ndim == 2 else ("d", "h")
+        z = w2.shape[1] if w2 is not None and w2.ndim == 2 else "z"
+        want = {"w1": (d, h), "b1": (h,), "w2": (h, z), "b2": (z,)}
+        _check_tensors(path, tensors, want, "an mlp")
         return "mlp", baselines.SiameseMlpParams(tensors=tensors)
     if kind != "encoder":
         raise checkpoint.CheckpointError(f"{path}: unknown model kind {kind!r}")
@@ -140,13 +164,8 @@ def _load_model(path):
     except (KeyError, TypeError, enc.EncoderError) as exc:
         raise checkpoint.CheckpointError(f"{path}: bad encoder config: {exc}") from exc
     want = enc.init_params(cfg, np.random.default_rng(0)).tensors
-    for name in sorted(want.keys() | tensors.keys()):
-        got = tensors[name].shape if name in tensors else "missing"
-        need = want[name].shape if name in want else "no such tensor"
-        if got != need:
-            raise checkpoint.CheckpointError(
-                f"{path}: tensor {name!r} is {got}; an encoder of this config needs {need}"
-            )
+    _check_tensors(path, tensors, {n: t.shape for n, t in want.items()},
+                   "an encoder of this config")
     return "encoder", enc.EncoderParams(config=cfg, tensors=tensors)
 
 

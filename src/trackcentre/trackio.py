@@ -8,8 +8,10 @@ widened to float64 on load; all in-memory computation is done in float64.
 
 from __future__ import annotations
 
+import heapq
 import json
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -221,6 +223,34 @@ def load_trackset(path) -> TrackSet:
     return TrackSet(tracks=tuple(tracks), dim=dim, video_id=video_id)
 
 
+def _time_groups(labels: np.ndarray, order: np.ndarray, k: int, target_pairs: float):
+    """Split tracks into groups whose members overlap pairwise and that are
+    disjoint in time; returns (groups, overlapping pairs made).
+
+    Each group takes the earliest pending track of each label in ``order``,
+    earliest first, while the pairs it adds (a group of n makes n(n-1)/2)
+    stay within ``target_pairs``; its first track always fits.  A heap
+    holds each label's earliest pending position, so the work is
+    O(M log k) for M tracks of k labels.
+    """
+    label_at = labels[order]
+    queues = [deque(np.flatnonzero(label_at == lab).tolist()) for lab in range(k)]
+    heads = [(q[0], lab) for lab, q in enumerate(queues) if q]
+    heapq.heapify(heads)
+    groups: list[list[int]] = []
+    made_pairs = 0.0
+    while heads:
+        taken = []
+        while heads and made_pairs + len(taken) <= target_pairs:
+            made_pairs += len(taken)
+            taken.append(heapq.heappop(heads)[1])
+        groups.append([int(order[queues[lab].popleft()]) for lab in taken])
+        for lab in taken:
+            if queues[lab]:
+                heapq.heappush(heads, (queues[lab][0], lab))
+    return groups, made_pairs
+
+
 def generate_synthetic(spec: SyntheticSpec) -> TrackSet:
     """Generate a labeled synthetic trackset.
 
@@ -242,34 +272,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TrackSet:
     labels = np.repeat(np.arange(k), spec.tracks_per_identity)
     order = rng.permutation(m)
 
-    # Group tracks so that members of one group overlap pairwise (distinct
-    # labels within a group) and groups are disjoint in time.  Group sizes
-    # are grown greedily until the target overlapping-pair count is met.
     target_pairs = spec.cooccurrence_density * m * (m - 1) / 2
-    groups: list[list[int]] = []
-    made_pairs = 0.0
-    pending = list(order)
-    while pending:
-        group: list[int] = []
-        used_labels: set[int] = set()
-        rest = []
-        for idx in pending:
-            lab = int(labels[idx])
-            grown = len(group)
-            if (
-                lab not in used_labels
-                and made_pairs + grown <= target_pairs
-                and grown < k
-            ):
-                group.append(idx)
-                used_labels.add(lab)
-                made_pairs += grown
-            else:
-                rest.append(idx)
-        if not group:
-            group.append(rest.pop(0))
-        groups.append(group)
-        pending = rest
+    groups, made_pairs = _time_groups(labels, order, k, target_pairs)
     if m > 1 and spec.cooccurrence_density > (k - 1) / (m - 1):
         warnings.warn(
             f"cooccurrence_density {spec.cooccurrence_density} is unreachable with "

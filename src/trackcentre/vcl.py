@@ -17,11 +17,11 @@ vc draws each epoch as one int64 array, one row
 schedule from the first epoch's item count and applies the momentum and
 weight-decay update, so the three methods train under the same schedule.
 
-vc streams each batch through the encoder one length-sorted chunk at a
-time (``streamed_step``), so only one chunk's activations are alive; ct
-keeps all of a batch's chunks (``bucketed_forward``/``bucketed_backward``)
-because its pair loss couples the two clips of a pair, which may fall in
-different chunks.
+``streamed_step`` is the one training step of vc and ct: it runs a batch in
+groups of clips, each forwarded in length-sorted chunks, handed to the
+method's loss and backpropagated before the next group starts, so only one
+group's activations are alive.  vc's groups are single chunks; ct's hold
+128 pairs, because its pair loss couples the two clips of a pair.
 """
 
 from __future__ import annotations
@@ -260,24 +260,6 @@ class OneCycleSGD:
 _CHUNK = 32
 
 
-def bucketed_forward(params: enc.EncoderParams, clips: list[np.ndarray]):
-    """Forward a batch of variable-length clips in length-sorted chunks,
-    keeping every chunk's cache for ``bucketed_backward``.
-
-    Serves ct, whose pair loss couples the two clips of a pair, which may
-    fall in different chunks; vc streams its chunks through
-    ``streamed_step`` instead.  Results equal one padded batch within
-    rounding.  Returns (z in original order, list of (index array, cache)).
-    """
-    z = np.empty((len(clips), params.config.head_out_dim))
-    caches = []
-    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
-        zc, cache = enc.forward_train_batch(params, [clips[i] for i in idx])
-        z[idx] = zc
-        caches.append((idx, cache))
-    return z, caches
-
-
 def _add_grads(total, grads):
     """Add one chunk's gradients into the running total (None at first)."""
     if total is None:
@@ -287,36 +269,30 @@ def _add_grads(total, grads):
     return total
 
 
-def bucketed_backward(params: enc.EncoderParams, caches, gz: np.ndarray):
-    """Accumulate parameter gradients over the chunks of bucketed_forward."""
-    total = None
-    for idx, cache in caches:
-        total = _add_grads(total, enc.backward(params, cache, gz[idx]))
-    return total
+def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray], groups, loss):
+    """Gradients of one batch, one group of clips at a time.
 
-
-def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray],
-                  centres: np.ndarray, ys: np.ndarray, g: float):
-    """vc loss and gradients of one batch, one length-sorted chunk at a time.
-
-    Each chunk runs its forward pass, its loss against its rows of
-    ``centres`` and its backward pass before the next chunk starts, so only
-    one chunk's cache is alive.  The arithmetic and summation order are
-    those of ``bucketed_backward(bucketed_forward(...))`` with dL/dz divided
-    by the batch size, so the gradients are bit-identical to it.  Returns
-    (z, per-clip losses, gradients of the mean loss).
+    ``groups`` are index arrays into ``clips``.  For each group the step
+    forwards its clips in length-sorted chunks of _CHUNK, calls
+    ``loss(group, z)`` with the group's head outputs (rows in group order),
+    which returns dL/dz of those rows, backpropagates every chunk and drops
+    the group's caches before the next group starts.  So at most one
+    group's caches are alive, and a loss may couple any clips of a group.
+    Returns (z of all clips, gradients summed over the chunks in order).
     """
-    n = len(clips)
-    z = np.empty((n, params.config.head_out_dim))
-    losses = np.empty(n)
+    z = np.empty((len(clips), params.config.head_out_dim))
     total = None
-    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
-        zc, cache = enc.forward_train_batch(params, [clips[i] for i in idx])
-        losses[idx], gz = _batch_loss_and_gradz(zc, centres[idx], ys[idx], g)
-        total = _add_grads(total, enc.backward(params, cache, gz / n))
-        del cache  # freed before the next chunk's forward pass
-        z[idx] = zc
-    return z, losses, total
+    for group in groups:
+        caches = []
+        for pos in enc.length_chunks([clips[i].shape[0] for i in group], _CHUNK):
+            idx = group[pos]
+            z[idx], cache = enc.forward_train_batch(params, [clips[i] for i in idx])
+            caches.append((pos, cache))
+        gz = loss(group, z[group])
+        for pos, cache in caches:
+            total = _add_grads(total, enc.backward(params, cache, gz[pos]))
+        del caches, cache  # freed before the next group's forward pass
+    return z, total
 
 
 def _batch_loss_and_gradz(z_batch, centres, ys, g):
@@ -416,9 +392,17 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         for batch in opt.batches(_draw_samples(tracks, partner_lists, cfg, rng)):
             ys, ci = batch[:, 3], batch[:, 4]
-            z_batch, losses, grads = streamed_step(
-                params, clips_of(tracks, batch), table.centres[ci], ys, cfg.margin
-            )
+            centres = table.centres[ci]
+            losses = np.empty(len(batch))
+
+            def loss(idx, z):
+                losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], cfg.margin)
+                return gz / len(batch)
+
+            # One length-sorted chunk per group: the vc loss of a clip
+            # involves that clip alone.
+            groups = enc.length_chunks(batch[:, 2], _CHUNK)
+            z_batch, grads = streamed_step(params, clips_of(tracks, batch), groups, loss)
             opt.add_losses(losses)
             lr = opt.step(grads)
 

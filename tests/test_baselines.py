@@ -102,8 +102,8 @@ def test_mlp_forward_backward_gradcheck(rng):
     params = init_mlp(5, 3, 2, rng)
     x = rng.standard_normal((4, 5))
     dout = rng.standard_normal((4, 2))
-    out, pre = mlp_forward(params, x)
-    grads = mlp_backward(params, x, pre, dout)
+    out, cache = mlp_forward(params, x)
+    grads = mlp_backward(params, x, cache, dout)
     h = 1e-6
     for name, tensor in params.tensors.items():
         for fi in rng.choice(tensor.size, size=min(4, tensor.size), replace=False):
@@ -258,67 +258,77 @@ class RecordingSGD(OneCycleSGD):
         return super().step(grads)
 
 
-def two_pass_reference(forward, backward, side_a, side_b, ys, g):
+def two_pass_reference(forward, backward, side_a, side_b, ys, g, n):
     """The pair step as two separate passes: forward each side, backward
-    each side with its half of dL/dz, sum the gradients."""
+    each side with its share of dL/dz (the batch of ``n`` pairs), sum the
+    gradients."""
     za, cache_a = forward(side_a)
     zb, cache_b = forward(side_b)
     _, dza, dzb = _pair_loss_grads(za, zb, ys, g)
-    ga = backward(cache_a, dza / len(ys))
-    gb = backward(cache_b, dzb / len(ys))
-    return za, zb, {n: ga[n] + gb[n] for n in ga}
+    ga = backward(cache_a, dza / n)
+    gb = backward(cache_b, dzb / n)
+    return za, zb, {name: ga[name] + gb[name] for name in ga}
 
 
-@pytest.mark.parametrize("kind", ["transformer", "transformer+pe", "mlp"])
-def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
-    """Each batch of ct and tsiam training runs both sides of its pairs
-    through one forward and one backward call.  Its z and gradients equal
-    those of two separate passes, one per side, within 1e-12.  ct's clips
-    have mixed lengths and span several length-sorted chunks; its
-    reference runs each side as one padded batch."""
+def pair_dataset():
     from trackcentre import SyntheticSpec, generate_synthetic
-    from trackcentre import encoder as enc
 
     ts = generate_synthetic(SyntheticSpec(
         identity_count=3, tracks_per_identity=4, dim=8, min_length=2,
         max_length=30, cooccurrence_density=0.15, seed=3,
     ))
+    return ts, derive_cannot_links(ts)
+
+
+@pytest.mark.parametrize("kind", ["transformer", "transformer+pe", "mlp"])
+def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
+    """tsiam runs both sides of a batch's pairs through one forward and one
+    backward call; ct streams a batch in groups of 128 pairs, ordered by
+    each pair's longer clip, each group's clips in length-sorted chunks.
+    For every group the z of both sides equal, within 1e-12, those of two
+    separate passes, one per side, and the batch's gradients equal the sum
+    of the groups' two-pass gradients."""
+    from trackcentre import encoder as enc
+
+    ts, n_matrix = pair_dataset()
     tracks = ts.tracks
-    n = derive_cannot_links(ts)
-    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-2, batch_size=64,
-                      attract_per_track=4, repel_per_track=4, seed=0)
-    zs = []
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-2, batch_size=160,
+                      attract_per_track=12, repel_per_track=12, seed=0)
+    calls = []
 
     def spy(zi, zj, ys, g):
-        zs.append((zi.copy(), zj.copy()))
+        calls.append((len(RecordingSGD.last.seen) - 1, zi.copy(), zj.copy()))
         return _pair_loss_grads(zi, zj, ys, g)
 
     monkeypatch.setattr(baselines, "_pair_loss_grads", spy)
     monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
     if kind == "mlp":
-        train_pairwise("mlp", ts, n, cfg)
+        train_pairwise("mlp", ts, n_matrix, cfg)
     else:
         enc_cfg = EncoderConfig(model_dim=8, heads=2, layers=2, head_out_dim=2,
                                 use_positional_embedding=kind.endswith("+pe"))
-        train_pairwise("transformer", ts, n, cfg, encoder_config=enc_cfg)
+        train_pairwise("transformer", ts, n_matrix, cfg, encoder_config=enc_cfg)
     seen = RecordingSGD.last.seen
-    assert len(seen) == len(zs) == 4
+    assert len(seen) == 4
+    assert max(len(batch) for batch, *_ in seen) > 128
 
-    for (batch, before, grads), (zi, zj) in zip(seen, zs):
+    for b, (batch, before, grads) in enumerate(seen):
+        n = len(batch)
         if kind == "mlp":
             p = SiameseMlpParams(tensors=before)
 
             def forward(x):
-                z, pre = mlp_forward(p, x)
-                return z, (x, pre)
+                z, cache = mlp_forward(p, x)
+                return z, (x, cache)
 
             def backward(cache, dz):
                 return mlp_backward(p, *cache, dz)
 
-            def side(cols):
-                return np.stack([tracks[t].embeddings[f] for t, f in batch[:, cols]])
+            def side(rows, cols):
+                return np.stack([tracks[t].embeddings[f] for t, f in rows[:, cols]])
 
-            side_a, side_b = side([0, 1]), side([2, 3])
+            a_cols, b_cols = [0, 1], [2, 3]
+            groups = [np.arange(n)]
         else:
             p = enc.EncoderParams(config=enc_cfg, tensors=before)
 
@@ -328,17 +338,86 @@ def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
             def backward(cache, dz):
                 return enc.backward(p, cache, dz)
 
-            def side(cols):
-                return [tracks[t].embeddings[s : s + m] for t, s, m in batch[:, cols]]
+            def side(rows, cols):
+                return [tracks[t].embeddings[s : s + m] for t, s, m in rows[:, cols]]
 
-            side_a, side_b = side([0, 1, 2]), side([3, 4, 5])
-            # several length-sorted chunks of mixed lengths
-            assert len(side_a) + len(side_b) > _CHUNK
-            assert len({c.shape[0] for c in side_a + side_b}) > 5
-        za, zb, ref = two_pass_reference(forward, backward, side_a, side_b,
-                                         batch[:, -1], cfg.margin)
-        assert np.max(np.abs(zi - za)) <= 1e-12
-        assert np.max(np.abs(zj - zb)) <= 1e-12
-        assert grads.keys() == ref.keys()
-        for name in ref:
-            assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12, name
+            a_cols, b_cols = [0, 1, 2], [3, 4, 5]
+            longer = np.maximum(batch[:, 2], batch[:, 5])
+            order = np.argsort(longer, kind="stable")
+            groups = [order[g0 : g0 + 128] for g0 in range(0, n, 128)]
+        batch_calls = [c for c in calls if c[0] == b]
+        assert len(batch_calls) == len(groups)
+        total = None
+        for pairs, (_, zi, zj) in zip(groups, batch_calls):
+            rows = batch[pairs]
+            side_a, side_b = side(rows, a_cols), side(rows, b_cols)
+            if kind != "mlp" and len(pairs) == 128:
+                # several length-sorted chunks of mixed lengths
+                assert len(side_a) + len(side_b) > _CHUNK
+                assert len({c.shape[0] for c in side_a + side_b}) > 5
+            za, zb, ref = two_pass_reference(forward, backward, side_a, side_b,
+                                             rows[:, -1], cfg.margin, n)
+            assert np.max(np.abs(zi - za)) <= 1e-12
+            assert np.max(np.abs(zj - zb)) <= 1e-12
+            total = ref if total is None else {k: total[k] + ref[k] for k in ref}
+        assert grads.keys() == total.keys()
+        for name in total:
+            assert np.max(np.abs(grads[name] - total[name])) <= 1e-12, name
+
+
+def test_ct_forwards_at_most_one_group_before_backward(monkeypatch):
+    """ct keeps at most one group of 128 pairs (256 clips) of forward caches
+    alive: between two backward phases at most 256 clips are forwarded,
+    although every batch holds more than 128 pairs."""
+    from trackcentre import encoder as enc
+
+    ts, n_matrix = pair_dataset()
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-2, batch_size=512,
+                      attract_per_track=16, repel_per_track=16, seed=0)
+    runs = [0]  # clips forwarded since the last backward call
+    forward, backward = enc.forward_train_batch, enc.backward
+
+    def counting_forward(params, clips):
+        runs[-1] += len(clips)
+        return forward(params, clips)
+
+    def counting_backward(params, cache, dz):
+        if runs[-1]:
+            runs.append(0)
+        return backward(params, cache, dz)
+
+    monkeypatch.setattr(enc, "forward_train_batch", counting_forward)
+    monkeypatch.setattr(enc, "backward", counting_backward)
+    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    enc_cfg = EncoderConfig(model_dim=8, heads=2, layers=1, head_out_dim=2)
+    train_pairwise("transformer", ts, n_matrix, cfg, encoder_config=enc_cfg)
+    assert min(len(batch) for batch, *_ in RecordingSGD.last.seen) > 128
+    assert max(runs) == 2 * 128
+
+
+def test_tsiam_evaluates_gelu_gate_once_per_batch(monkeypatch):
+    """tsiam's backward reads the GELU gate its forward computed: one ndtr
+    call per batch."""
+    from trackcentre import encoder as enc
+
+    ts, n_matrix = pair_dataset()
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, max_lr=1e-2, batch_size=64,
+                      attract_per_track=4, repel_per_track=4, seed=0)
+    counted = []
+
+    def spy_on(module):
+        ndtr = module.ndtr
+
+        def spy(x):
+            counted.append(x.shape)
+            return ndtr(x)
+
+        monkeypatch.setattr(module, "ndtr", spy)
+
+    spy_on(enc)
+    if hasattr(baselines, "ndtr"):
+        spy_on(baselines)
+    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    train_pairwise("mlp", ts, n_matrix, cfg)
+    assert len(RecordingSGD.last.seen) == 4
+    assert len(counted) == 4

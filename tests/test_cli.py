@@ -240,3 +240,37 @@ def test_eval_rejects_checkpoint_of_another_layout(tracks_path, tmp_path, capsys
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
     assert not metrics.exists()
+
+
+def test_eval_rejects_malformed_mlp_checkpoint(tracks_path, tmp_path, capsys):
+    """An mlp checkpoint must hold exactly w1 (d, h), b1 (h,), w2 (h, z) and
+    b2 (z,); otherwise eval exits 1 with a message that starts with the
+    file's path and names the tensor."""
+    from trackcentre.checkpoint import load_checkpoint, save_checkpoint
+
+    model = tmp_path / "mlp"
+    assert run(train_args(tracks_path, model, method="tsiam", epochs=2)) == 0
+    meta, tensors = load_checkpoint(model / "checkpoint.tcv1")
+    d, h = tensors["w1"].shape
+    z = tensors["w2"].shape[1]
+    cases = [
+        ({"b1": np.zeros(h)}, "tensor 'b2' is missing; an mlp needs (z,)"),
+        ({**tensors, "w1": np.zeros(d)}, f"tensor 'w1' is ({d},); an mlp needs (d, h)"),
+        ({**tensors, "b1": np.zeros(h + 1)},
+         f"tensor 'b1' is ({h + 1},); an mlp needs ({h},)"),
+        ({**tensors, "w2": np.zeros((h + 1, z))},
+         f"tensor 'w2' is ({h + 1}, {z}); an mlp needs ({h}, {z})"),
+        ({**tensors, "b2": np.zeros(z + 1)},
+         f"tensor 'b2' is ({z + 1},); an mlp needs ({z},)"),
+        ({**tensors, "w3": np.zeros(z)}, f"tensor 'w3' is ({z},); an mlp needs no such tensor"),
+    ]
+    capsys.readouterr()
+    metrics = tmp_path / "m.csv"
+    for i, (bad, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.tcv1"
+        save_checkpoint(path, meta, bad)
+        assert run(["eval", "--tracks", tracks_path, "--checkpoint", path,
+                    "--method", "tsiam", "--known-k", 2, "--out", metrics]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err, err
+    assert not metrics.exists()

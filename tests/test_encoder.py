@@ -311,8 +311,13 @@ def test_gradcheck_positional_embedding(rng):
 def worst_gradient_error_padded_batch(rng, cfg):
     """Worst relative error over every gradient entry of a padded batch
     (lengths 1, 5 and 3) against central differences; returns it with the
-    gradients."""
+    gradients.  LayerNorm gains and all biases are moved off their initial
+    1 and 0, so that the LayerNorm outputs ``g * xhat + b`` that backward
+    recomputes differ from ``xhat``."""
     p = init_params(cfg, rng)
+    for name, tensor in p.tensors.items():
+        if tensor.ndim == 1 and name != "class_token":
+            tensor += rng.normal(0.0, 0.5, size=tensor.shape)
     clips = [rng.standard_normal((n, 4)) for n in (1, 5, 3)]
     dz = rng.standard_normal((3, 2))
     _, cache = forward_train_batch(p, clips)

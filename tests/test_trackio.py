@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trackcentre import (
     EmbeddingTrack,
@@ -14,7 +15,7 @@ from trackcentre import (
     load_trackset,
     save_trackset,
 )
-from trackcentre.trackio import TrackIOError
+from trackcentre.trackio import TrackIOError, _time_groups
 
 from conftest import random_trackset
 
@@ -223,3 +224,44 @@ def test_spec_validation():
         SyntheticSpec(min_length=5, max_length=4)
     with pytest.raises(ValueError):
         SyntheticSpec(cooccurrence_density=1.5)
+
+
+def rescanning_groups(labels, order, k, target_pairs):
+    """Straight-line grouping oracle: each group rescans every pending track
+    in order and takes it if its label is new to the group and the pair
+    budget allows one more member."""
+    groups, made_pairs, pending = [], 0.0, [int(i) for i in order]
+    while pending:
+        group, used, rest = [], set(), []
+        for idx in pending:
+            grown = len(group)
+            lab = int(labels[idx])
+            if lab not in used and made_pairs + grown <= target_pairs and grown < k:
+                group.append(idx)
+                used.add(lab)
+                made_pairs += grown
+            else:
+                rest.append(idx)
+        groups.append(group)
+        pending = rest
+    return groups, made_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    per_identity=st.integers(1, 15),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_groups_match_rescanning_oracle(k, per_identity, density, seed):
+    """The heap grouping of generate_synthetic makes the groups, in order,
+    and the pair count of the rescanning loop, at reachable and unreachable
+    densities."""
+    m = k * per_identity
+    labels = np.repeat(np.arange(k), per_identity)
+    order = np.random.default_rng(seed).permutation(m)
+    target = density * m * (m - 1) / 2
+    assert _time_groups(labels, order, k, target) == rescanning_groups(
+        labels, order, k, target
+    )

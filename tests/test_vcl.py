@@ -23,9 +23,8 @@ from trackcentre.vcl import (
     TrainError,
     _batch_loss_and_gradz,
     _draw_samples,
+    _CHUNK,
     _update_centres,
-    bucketed_backward,
-    bucketed_forward,
     clips_of,
     init_centres,
     streamed_step,
@@ -200,9 +199,27 @@ def test_update_centres_match_sequential_scalar_steps(rng):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
 
+def bucketed_reference(p, clips, centres, ys, g):
+    """vc's batch step as one forward over all length-sorted chunks, with
+    every chunk's cache kept, then one backward per chunk in order."""
+    z = np.empty((len(clips), p.config.head_out_dim))
+    caches = []
+    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
+        z[idx], cache = enc.forward_train_batch(p, [clips[i] for i in idx])
+        caches.append((idx, cache))
+    losses, gz = _batch_loss_and_gradz(z, centres, ys, g)
+    gz /= len(clips)
+    grads = None
+    for idx, cache in caches:
+        chunk = enc.backward(p, cache, gz[idx])
+        grads = chunk if grads is None else {n: grads[n] + chunk[n] for n in grads}
+    return z, losses, grads
+
+
 def test_streamed_step_bit_identical_to_bucketed(rng):
-    """The fused per-chunk step gives the same z, losses and gradients, bit
-    for bit, as one forward over all chunks followed by one backward."""
+    """The streamed step with one length-sorted chunk per group, as vc runs
+    it, gives the same z, losses and gradients, bit for bit, as one forward
+    over all chunks followed by one backward per chunk."""
     lengths = rng.integers(1, 13, size=75)  # three chunks, ragged last one
     for cfg in (
         EncoderConfig(model_dim=8, heads=2, layers=2),
@@ -213,11 +230,16 @@ def test_streamed_step_bit_identical_to_bucketed(rng):
         clips = [rng.standard_normal((int(n), 8)) for n in lengths]
         centres = rng.standard_normal((len(clips), 2))
         ys = rng.integers(0, 2, size=len(clips))
-        z, losses, grads = streamed_step(p, clips, centres, ys, 1.0)
+        losses = np.empty(len(clips))
 
-        z_ref, caches = bucketed_forward(p, clips)
-        loss_ref, gz = _batch_loss_and_gradz(z_ref, centres, ys, 1.0)
-        grads_ref = bucketed_backward(p, caches, gz / len(clips))
+        def loss(idx, z):
+            losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], 1.0)
+            return gz / len(clips)
+
+        groups = enc.length_chunks(lengths, _CHUNK)
+        z, grads = streamed_step(p, clips, groups, loss)
+
+        z_ref, loss_ref, grads_ref = bucketed_reference(p, clips, centres, ys, 1.0)
         assert np.array_equal(z, z_ref)
         assert np.array_equal(losses, loss_ref)
         assert list(grads) == list(grads_ref) == list(p.tensors)
