@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .trackio import _atomic_open
+
 MAGIC = b"TCV1"
 
 
@@ -29,7 +31,7 @@ def save_checkpoint(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)

@@ -21,7 +21,8 @@ from . import baselines, checkpoint, vcl
 from . import encoder as enc
 from .clustereval import KnownK, Threshold, c_dif, hac, nmi, sdbw, wcp
 from .constraints import derive_cannot_links
-from .trackio import SyntheticSpec, TrackSet, generate_synthetic, load_trackset, save_trackset
+from .trackio import (SyntheticSpec, TrackSet, _atomic_open, generate_synthetic,
+                      load_trackset, save_trackset)
 
 METHODS = ("vc", "ct", "tsiam", "avg")
 
@@ -208,7 +209,7 @@ METRIC_COLUMNS = ["video_id", "method", "k_pred", "k_true", "nmi", "wcp", "c_dif
 
 
 def _write_metrics(path, rows) -> None:
-    with open(path, "w", newline="") as f:
+    with _atomic_open(path, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=METRIC_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -247,16 +248,36 @@ def _stop_from_args(args):
     raise CliError("one of --known-k or --threshold is required")
 
 
+_RUN_MANIFEST_KEYS = {"method": str, "tracks": str, "train_config": dict,
+                      "encoder_config": dict, "out_dir": str}
+
+
+def _read_run_manifest(path):
+    """(method, tracks path, train config, encoder config, out dir) of the
+    run manifest at ``path``; a missing or ill-typed key raises CliError."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"run manifest {path}: {exc}") from exc
+    for key, kind in _RUN_MANIFEST_KEYS.items():
+        value = manifest.get(key) if isinstance(manifest, dict) else None
+        if not isinstance(value, kind):
+            raise CliError(f"run manifest {path}: {key!r} missing or not a "
+                           f"{kind.__name__} (got {value!r})")
+    try:
+        train_cfg = vcl.TrainConfig(**manifest["train_config"])
+        enc_cfg = enc.EncoderConfig(**manifest["encoder_config"])
+    except TypeError as exc:
+        raise CliError(f"run manifest {path}: {exc}") from exc
+    return (manifest["method"], manifest["tracks"], train_cfg, enc_cfg,
+            Path(manifest["out_dir"]))
+
+
 def cmd_train(args) -> int:
     if args.method == "avg":
         raise CliError("avg requires no training")
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        method = manifest["method"]
-        tracks_path = manifest["tracks"]
-        train_cfg = vcl.TrainConfig(**manifest["train_config"])
-        enc_cfg = enc.EncoderConfig(**manifest["encoder_config"])
-        out_dir = Path(manifest["out_dir"])
+        method, tracks_path, train_cfg, enc_cfg, out_dir = _read_run_manifest(args.manifest)
     else:
         method = args.method
         tracks_path = args.tracks
@@ -268,9 +289,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest_dict(method, tracks_path, train_cfg.seed, train_cfg,
                               enc_cfg, out_dir)
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    with _atomic_open(out_dir / "run_manifest.json") as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     kind, params, history = _run_training(method, trackset, train_cfg, enc_cfg)
     _save_model(out_dir / "checkpoint.tcv1", kind, params)
     vcl.write_history_csv(out_dir / "history.csv", history)
@@ -312,7 +332,7 @@ def cmd_attn(args) -> int:
         raise CliError(
             f"checkpoint dim {params.config.model_dim} != tracks dim {trackset.dim}"
         )
-    with open(args.out, "w", newline="") as f:
+    with _atomic_open(args.out, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["track_id", "frame", "score", "sigma", "is_distractor"])
         for t in trackset.tracks:

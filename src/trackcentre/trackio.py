@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import warnings
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,8 +149,25 @@ def _paths(path) -> tuple[Path, Path]:
     )
 
 
+@contextmanager
+def _atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing, and move it onto
+    ``path`` when the block exits cleanly; on an error it is removed.  So
+    ``path`` holds its old or its new contents in full, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_trackset(trackset: TrackSet, path) -> None:
-    """Write the manifest + embedding blob for ``trackset``.
+    """Write the manifest + embedding blob for ``trackset``, each file
+    atomically.
 
     Output bytes are a pure function of the trackset contents.
     """
@@ -175,52 +194,100 @@ def save_trackset(trackset: TrackSet, path) -> None:
         "dim": trackset.dim,
         "tracks": entries,
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    blob_path.write_bytes(b"".join(blobs))
+    with _atomic_open(manifest_path, encoding="utf-8") as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(blob_path, "wb") as f:
+        f.write(b"".join(blobs))
+
+
+_ENTRY_INTS = ("track_id", "start_frame", "end_frame", "offset", "count")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry_error(e, offset: int) -> str | None:
+    """What is wrong with a manifest track entry whose rows should start
+    at blob row ``offset``, or None."""
+    if not isinstance(e, dict):
+        return "not an object"
+    for key in _ENTRY_INTS:
+        if not _is_int(e.get(key)):
+            return f"{key!r} must be an integer, got {e.get(key)!r}"
+    if e["count"] < 1:
+        return f"'count' must be >= 1, got {e['count']}"
+    if e["offset"] != offset:
+        return f"offset {e['offset']} is not {offset}, where the previous track ends"
+    if "label" not in e or not (e["label"] is None or _is_int(e["label"])):
+        return "'label' must be an integer or null"
+    frames = e.get("distractor_frames", [])
+    if not (isinstance(frames, list)
+            and all(_is_int(f) and 0 <= f < e["count"] for f in frames)):
+        return "'distractor_frames' must list frames of the track"
+    return None
 
 
 def load_trackset(path) -> TrackSet:
-    """Load a track container written by :func:`save_trackset`."""
+    """Load a track container written by :func:`save_trackset`.
+
+    Every manifest entry must carry its integer fields, and the entries'
+    offsets must run in order, without gaps or overlap, to the end of the
+    blob.  Any violation raises :class:`TrackIOError` naming the manifest.
+    """
     manifest_path, blob_path = _paths(path)
     if not manifest_path.exists():
         raise TrackIOError(f"missing manifest file: {manifest_path}")
     if not blob_path.exists():
         raise TrackIOError(f"missing embedding blob: {blob_path}")
+
+    def corrupt(what) -> TrackIOError:
+        return TrackIOError(f"corrupt manifest {manifest_path}: {what}")
+
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TrackIOError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    try:
-        dim = int(manifest["dim"])
-        video_id = str(manifest["video_id"])
-        entries = manifest["tracks"]
-    except (KeyError, TypeError) as exc:
-        raise TrackIOError(f"corrupt manifest {manifest_path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise corrupt(exc) from exc
+    if not isinstance(manifest, dict):
+        raise corrupt("not a JSON object")
+    dim, video_id, entries = (manifest.get(k) for k in ("dim", "video_id", "tracks"))
+    if not (_is_int(dim) and dim >= 1):
+        raise corrupt(f"'dim' must be a positive integer, got {dim!r}")
+    if not isinstance(video_id, str):
+        raise corrupt(f"'video_id' must be a string, got {video_id!r}")
+    if not isinstance(entries, list):
+        raise corrupt(f"'tracks' must be a list, got {entries!r}")
+    total = 0
+    for i, e in enumerate(entries):
+        error = _entry_error(e, total)
+        if error is not None:
+            raise corrupt(f"track entry {i}: {error}")
+        total += e["count"]
 
-    raw = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    total = sum(int(e["count"]) for e in entries)
-    if raw.size != total * dim:
+    data = blob_path.read_bytes()
+    if len(data) != total * dim * 4:
         raise TrackIOError(
-            f"dimension mismatch: blob holds {raw.size} values, "
-            f"manifest implies {total * dim}"
+            f"{manifest_path}: dimension mismatch: blob holds {len(data)} bytes, "
+            f"manifest implies {total * dim} float32 values"
         )
-    tracks = []
-    for e in entries:
-        off, cnt = int(e["offset"]), int(e["count"])
-        emb = raw[off * dim : (off + cnt) * dim].astype(np.float64).reshape(cnt, dim)
-        tracks.append(
+    raw = np.frombuffer(data, dtype="<f4")
+    try:
+        tracks = tuple(
             EmbeddingTrack(
-                track_id=int(e["track_id"]),
-                start_frame=int(e["start_frame"]),
-                end_frame=int(e["end_frame"]),
-                label=None if e["label"] is None else int(e["label"]),
-                embeddings=emb,
+                track_id=e["track_id"],
+                start_frame=e["start_frame"],
+                end_frame=e["end_frame"],
+                label=e["label"],
+                embeddings=raw[e["offset"] * dim : (e["offset"] + e["count"]) * dim]
+                .astype(np.float64)
+                .reshape(e["count"], dim),
                 distractor_frames=tuple(e.get("distractor_frames", ())),
             )
+            for e in entries
         )
-    return TrackSet(tracks=tuple(tracks), dim=dim, video_id=video_id)
+        return TrackSet(tracks=tracks, dim=dim, video_id=video_id)
+    except TrackIOError as exc:
+        raise TrackIOError(f"{manifest_path}: {exc}") from exc
 
 
 def _time_groups(labels: np.ndarray, order: np.ndarray, k: int, target_pairs: float):

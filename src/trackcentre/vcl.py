@@ -34,7 +34,7 @@ import numpy as np
 from . import encoder as enc
 from .clustereval import KnownK, hac, sdbw as sdbw_index
 from .constraints import CannotLinkMatrix
-from .trackio import TrackSet
+from .trackio import TrackSet, _atomic_open
 
 DIST_EPS = 1e-12
 
@@ -440,7 +440,7 @@ def train(
 def write_history_csv(path, history) -> None:
     import csv
 
-    with open(path, "w", newline="") as f:
+    with _atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "mean_loss", "lr", "sdbw"])
         for row in history:

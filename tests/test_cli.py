@@ -109,6 +109,23 @@ def test_train_manifest_reproduction(tracks_path, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("key", ["method", "tracks", "train_config", "encoder_config",
+                                 "out_dir"])
+def test_train_manifest_missing_or_bad_key(tracks_path, tmp_path, capsys, key):
+    """A run manifest without a key, or with one of the wrong type, is
+    reported with the file and the key instead of a bare KeyError."""
+    out = tmp_path / "r1"
+    assert run(train_args(tracks_path, out, epochs=2)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    for bad in ({k: v for k, v in manifest.items() if k != key}, {**manifest, key: 5}):
+        mpath = tmp_path / "bad.json"
+        mpath.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert run(["train", "--manifest", mpath]) == 1
+        err = capsys.readouterr().err
+        assert "bad.json" in err and repr(key) in err, err
+
+
 def test_eval_avg_needs_no_checkpoint(tracks_path, tmp_path):
     metrics = tmp_path / "m.csv"
     assert run(["eval", "--tracks", tracks_path, "--method", "avg",

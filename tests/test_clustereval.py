@@ -284,15 +284,39 @@ def test_hac_matches_oracle_randomized():
             assert hac(x, linkage, stop) == oracle_hac(x, linkage, stop), (case, linkage, stop)
 
 
-@pytest.mark.parametrize("block_elements", [1, 7 * 11 * 3, 2 * 11 * 3 + 1, 10**6])
-def test_distance_matrix_blocks_match_full_broadcast(monkeypatch, block_elements):
-    """Blocks of 1, 7 (ragged last block of 4) and 2 rows of 11, and one
-    block of all rows, each equal the full broadcast exactly."""
-    monkeypatch.setattr(clustereval, "_BLOCK_ELEMENTS", block_elements)
-    x = np.random.default_rng(3).standard_normal((11, 3)) * [1.0, 1e3, 1e-3]
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_distance_matrix_matches_full_broadcast(dim):
+    """Below 8 dimensions cdist and numpy's sum both add the squared
+    differences in order, so every entry equals the full broadcast
+    exactly, columns of very different scales included."""
+    scale = np.array([1.0, 1e3, 1e-3] * 3)[:dim]
+    x = np.random.default_rng(3).standard_normal((11, dim)) * scale
     expect = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
     np.fill_diagonal(expect, np.inf)
     assert np.array_equal(clustereval._distance_matrix(x), expect)
+
+
+def test_hac_matches_oracle_at_32_dims():
+    """At 32 dimensions numpy's sum splits each row over several
+    accumulators, so distances differ from the broadcast in the last bit;
+    on five separated clusters HAC still makes the oracle's merges."""
+    rng = np.random.default_rng(21)
+    centres = rng.standard_normal((5, 32)) * 10.0
+    x = centres[rng.integers(0, 5, size=200)] + rng.standard_normal((200, 32))
+    expect = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(expect, np.inf)
+    got = clustereval._distance_matrix(x)
+    off = ~np.eye(200, dtype=bool)
+    assert np.all(np.isinf(got[~off]))
+    assert np.max(np.abs(got[off] - expect[off]) / expect[off]) <= 1e-15
+    for linkage in LINKAGES:
+        for stop in (KnownK(5), Threshold(30.0)):
+            a, b = hac(x, linkage, stop), oracle_hac(x, linkage, stop)
+            assert (a.labels, a.k) == (b.labels, b.k), (linkage, stop)
+            assert [m[1:] for m in a.merges] == [m[1:] for m in b.merges]
+            assert np.allclose([m[0] for m in a.merges], [m[0] for m in b.merges],
+                               rtol=1e-14, atol=0.0)
+            assert a.k == 5
 
 
 def test_hac_rejects_non_finite():

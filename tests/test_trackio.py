@@ -1,6 +1,9 @@
 """Track data model, container round-trips and the synthetic generator."""
 
+import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,139 @@ def test_load_duplicate_id(tmp_path, rng):
 def test_load_missing_files(tmp_path):
     with pytest.raises(TrackIOError, match="missing"):
         load_trackset(tmp_path / "nothing")
+
+
+def edit_manifest(path, edit):
+    """Rewrite the manifest of container ``path`` through ``edit(dict)``."""
+    mpath = Path(f"{path}.manifest.json")
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda m: m["tracks"][1].pop("count"), "'count' must be an integer"),
+        (lambda m: m["tracks"][1].update(offset=10**6), "offset 1000000 is not"),
+        (lambda m: m.update(tracks=5), "'tracks' must be a list"),
+        (lambda m: m["tracks"][1].update(offset=0), "offset 0 is not"),
+    ],
+    ids=["missing-count", "offset-past-blob", "tracks-not-a-list", "shared-offset"],
+)
+def test_load_rejects_malformed_manifest(tmp_path, rng, edit, match):
+    """Each probe raised KeyError, ValueError or TypeError, or (a shared
+    offset) loaded silently, before the manifest was validated."""
+    save_trackset(random_trackset(rng, n_tracks=3, dim=2), tmp_path / "x")
+    edit_manifest(tmp_path / "x", edit)
+    with pytest.raises(TrackIOError, match=match) as info:
+        load_trackset(tmp_path / "x")
+    assert "x.manifest.json" in str(info.value)
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-3, 10), max_size=3), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+ENTRY_KEYS = ["track_id", "start_frame", "end_frame", "label", "offset", "count",
+              "distractor_frames"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(-1, 3), st.sampled_from(["dim", "video_id", "tracks"] + ENTRY_KEYS),
+                  st.one_of(st.just("drop"), JSON_VALUES)),
+        max_size=3,
+    ),
+    cut=st.integers(0, 9),
+)
+def test_load_damaged_container_raises_only_trackio_error(edits, cut):
+    """Dropped or retyped manifest fields and a truncated blob either load
+    or raise TrackIOError, never another exception."""
+    rng = np.random.default_rng(5)
+    tracks = tuple(
+        EmbeddingTrack(i, 3 * i, 3 * i + 2, rng.standard_normal((3, 2)).astype(np.float32),
+                       label=i % 2, distractor_frames=(1,))
+        for i in range(3)
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c"
+        save_trackset(TrackSet(tracks=tracks, dim=2, video_id="v"), path)
+
+        def edit(manifest):
+            entries = manifest["tracks"]
+            for where, key, value in edits:
+                target = manifest if where < 0 else entries[where % 3]
+                if value == "drop":
+                    target.pop(key, None)
+                else:
+                    target[key] = value
+
+        edit_manifest(path, edit)
+        blob = Path(f"{path}.emb")
+        blob.write_bytes(blob.read_bytes()[: len(blob.read_bytes()) - cut])
+        try:
+            load_trackset(path)
+        except TrackIOError as exc:
+            assert "c.manifest.json" in str(exc)
+
+
+class FailingFile:
+    """Writes the first half of its first write, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+
+def write_container(path, seed):
+    save_trackset(random_trackset(np.random.default_rng(seed), n_tracks=2), path)
+
+
+def write_checkpoint(path, seed):
+    from trackcentre.checkpoint import save_checkpoint
+
+    save_checkpoint(path, {"seed": seed}, {"w": np.full(3, float(seed))})
+
+
+def write_history(path, seed):
+    from trackcentre.vcl import write_history_csv
+
+    write_history_csv(path, [{"epoch": 1, "mean_loss": seed, "lr": 0.1, "sdbw": None}])
+
+
+def write_metrics(path, seed):
+    from trackcentre.cli import METRIC_COLUMNS, _write_metrics
+
+    _write_metrics(path, [dict.fromkeys(METRIC_COLUMNS, seed)])
+
+
+@pytest.mark.parametrize("writer", [write_container, write_checkpoint, write_history,
+                                    write_metrics])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    """A write that fails part-way leaves the previous file whole and no
+    temporary file behind."""
+    writer(tmp_path / "out", 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda *a, **k: FailingFile(real_open(*a, **k)))
+    with pytest.raises(OSError, match="No space"):
+        writer(tmp_path / "out", 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    writer(tmp_path / "out", 2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
 
 
 def test_synthetic_single_identity():
