@@ -10,6 +10,7 @@ config) plus the name/shape index of the tensors.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     (hlen,) = struct.unpack("<Q", data[4:12])
     try:
         header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     if not (isinstance(header, dict) and "meta" in header
             and isinstance(header.get("tensors"), list)):
@@ -56,18 +57,25 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     offset = 12 + hlen
     tensors = {}
     for entry in header["tensors"]:
-        try:
-            name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from exc
+        fields = entry if isinstance(entry, dict) else {}
+        name, shape = fields.get("name"), fields.get("shape")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int for n in shape)):
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
         if min(shape, default=0) < 0:
             raise CheckpointError(f"{path}: negative shape in tensor entry {entry!r}")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
+        end = offset + 8 * math.prod(shape)  # Python ints: no wrap-around
         if end > len(data):
             raise CheckpointError(f"{path}: truncated tensor payload")
         arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64)
-        tensors[name] = arr.reshape(shape)
+        try:
+            tensors[name] = arr.reshape(shape)
+        except ValueError as exc:  # too many or too large dimensions
+            raise CheckpointError(
+                f"{path}: unsupported shape in tensor entry {entry!r}"
+            ) from exc
         offset = end
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")

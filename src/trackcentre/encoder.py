@@ -10,6 +10,12 @@ The forward/backward passes operate on padded batches with a key mask so
 that a whole training batch of variable-length clips is processed in a few
 dense GEMMs.  Padded positions are masked out of attention and contribute
 exact zeros to every gradient.  Everything is float64.
+
+Only the final class-token state reaches an output, so the last block runs
+as class-token attention pooling: its query is the class token's alone,
+folded into the key weights, and the tokens are pooled before the value
+projection.  Its stored weights keep the fused q/k/v layout of every other
+block.
 """
 
 from __future__ import annotations
@@ -74,11 +80,15 @@ class EncoderParams:
 class ForwardCache:
     """What ``backward`` reads of one batched forward pass, and the mask.
 
-    Per block it keeps the LayerNorm states (``xhat``, ``inv``), q, k, v,
-    the attention probabilities and output, the MLP pre-activation and its
-    GELU gate ``phi``.  What ``backward`` can recompute bit for bit is not
-    kept: the LayerNorm outputs ``g * xhat + b``, the GELU output
-    ``pre * phi`` and the padded input, of which only the shape is needed.
+    Per block it keeps the LayerNorm states (``xhat``, ``inv``), the
+    attention output ``o``, the MLP pre-activation and its GELU gate
+    ``phi``, and the attention's own tensors: in every block but the last
+    q, k, v (B, h, S, dh) and the probabilities (B, h, S, S); in the last,
+    the class token's query ``q`` (B, h, dh), its folded keys ``u`` (B, h,
+    d), its probabilities (B, h, S) and the pooled tokens ``y`` (B, h, d).
+    What ``backward`` can recompute bit for bit is not kept: the LayerNorm
+    outputs ``g * xhat + b``, the GELU output ``pre * phi`` and the padded
+    input, of which only the shape is needed.
     """
 
     params: EncoderParams
@@ -215,58 +225,99 @@ def _stack_clips(params: EncoderParams, clips: list[np.ndarray]):
     return _pad_clips(params, _check_clips(params, clips))
 
 
+def _split_heads(w: np.ndarray, h: int) -> np.ndarray:
+    """A (d, d) projection as its h per-head column blocks, (h, d, d/h)."""
+    d = w.shape[0]
+    return w.reshape(d, h, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(g: np.ndarray) -> np.ndarray:
+    """Inverse of _split_heads: (h, d, d/h) -> (d, d)."""
+    return g.transpose(1, 0, 2).reshape(g.shape[1], -1)
+
+
+def _softmax(scores: np.ndarray, scale: float, bias: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``scale * scores + bias``, in place."""
+    scores *= scale
+    scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _attention(t, p, cfg: EncoderConfig, xn1, bias):
+    """Multi-head self-attention of every token; returns the merged heads'
+    output (B, S, d) and what backward reads."""
+    b, s, d = xn1.shape
+    h, dh = cfg.heads, cfg.head_dim
+    qkv = xn1.reshape(b * s, d) @ t[f"{p}.attn.wqkv"] + t[f"{p}.attn.bqkv"]
+    # (B*S, 3d) -> three (B, h, S, dh)
+    q, k, v = qkv.reshape(b, s, 3, h, dh).transpose(2, 0, 3, 1, 4)
+    probs = _softmax(q @ k.transpose(0, 1, 3, 2), 1.0 / np.sqrt(dh), bias[:, :, None])
+    o = (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
+    return o, dict(q=q, k=k, v=v, probs=probs)
+
+
+def _pooled_attention(t, p, cfg: EncoderConfig, xn1, bias):
+    """The class token's attention alone, as attention pooling: returns its
+    merged heads' output (B, 1, d) and what backward reads.
+
+    Head h's query ``q_h`` is folded into its key weights, ``u_h = Wk_h @
+    q_h``, so the scores are ``scale * xn1_j . u_h``; the key bias adds the
+    same ``q_h . bk_h`` to every score of a row and cancels in the softmax.
+    As the probabilities sum to 1, the tokens are pooled before the value
+    projection: ``o_h = (sum_j P_hj xn1_j) @ Wv_h + bv_h``.  No token but
+    the class token is projected.
+    """
+    b, _, d = xn1.shape
+    h, dh = cfg.heads, cfg.head_dim
+    w, bqkv = t[f"{p}.attn.wqkv"], t[f"{p}.attn.bqkv"]
+    q = (xn1[:, 0] @ w[:, :d] + bqkv[:d]).reshape(b, h, dh)
+    u = (_split_heads(w[:, d : 2 * d], h) @ q[..., None])[..., 0]  # (B, h, d)
+    probs = _softmax(u @ xn1.transpose(0, 2, 1), 1.0 / np.sqrt(dh), bias)  # (B, h, S)
+    y = probs @ xn1  # (B, h, d)
+    o = (y[:, :, None] @ _split_heads(w[:, 2 * d :], h))[:, :, 0]  # (B, h, dh)
+    o = (o + bqkv[2 * d :].reshape(h, dh)).reshape(b, 1, d)
+    return o, dict(q=q, u=u, probs=probs, y=y)
+
+
 def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
     """Run the L residual blocks; returns (final class-token states (B, d),
     cache or None).
 
-    Projections run as single (B*S, d) GEMMs; only the attention scores
-    use head-split 4-D tensors.  Only the class token of the last block
-    reaches any output, so that block keys and values every token but
-    runs its query, attention output and MLP on the class token alone
-    (``sq`` query rows: S in earlier blocks, 1 in the last).
+    Projections run as single (rows, d) GEMMs; only the attention scores
+    use head-split tensors.  Only the class token of the last block reaches
+    any output, so that block runs as class-token attention pooling
+    (``_pooled_attention``) and its attention output, LayerNorm and MLP on
+    the class token alone; the earlier blocks run every token.
     """
     cfg = params.config
     t = params.tensors
-    h, dh = cfg.heads, cfg.head_dim
-    b, s, d = x.shape
-    scale = 1.0 / np.sqrt(dh)
-    # Additive key-mask bias: 0 at valid positions, a large negative at
-    # padding so masked attention probabilities underflow to exact zero.
-    bias = np.where(mask, 0.0, _MASKED_BIAS)[:, None, None, :]
+    # Additive key-mask bias (B, 1, S): 0 at valid positions, a large
+    # negative at padding so masked attention probabilities underflow to
+    # exact zero.
+    bias = np.where(mask, 0.0, _MASKED_BIAS)[:, None, :]
     cache = ForwardCache(params=params, mask=mask) if need_cache else None
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
-        sq = 1 if i == cfg.layers - 1 else s
+        last = i == cfg.layers - 1
         xn1, xhat1, inv1 = _ln_forward(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
-        qkv = xn1.reshape(b * s, d) @ t[f"{p}.attn.wqkv"] + t[f"{p}.attn.bqkv"]
-        # (B*S, 3d) -> three (B, h, S, dh)
-        qkv = qkv.reshape(b, s, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0][:, :, :sq], qkv[1], qkv[2]
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        scores += bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        probs = scores
-        o = (probs @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
-        attn_out = (o.reshape(b * sq, d) @ t[f"{p}.attn.wo"]).reshape(b, sq, d)
+        o, layer = (_pooled_attention if last else _attention)(t, p, cfg, xn1, bias)
+        attn_out = (o.reshape(-1, cfg.model_dim) @ t[f"{p}.attn.wo"]).reshape(o.shape)
         attn_out += t[f"{p}.attn.bo"]
-        x_mid = x[:, :sq] + attn_out
+        x_mid = (x[:, :1] if last else x) + attn_out
         xn2, xhat2, inv2 = _ln_forward(x_mid, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-        pre = xn2.reshape(b * sq, d) @ t[f"{p}.mlp.w1"] + t[f"{p}.mlp.b1"]
+        pre = xn2.reshape(-1, cfg.model_dim) @ t[f"{p}.mlp.w1"] + t[f"{p}.mlp.b1"]
         phi = ndtr(pre)  # standard normal CDF; gelu(pre) = pre * phi
         mlp_out = (pre * phi) @ t[f"{p}.mlp.w2"] + t[f"{p}.mlp.b2"]
-        x_out = x_mid + mlp_out.reshape(b, sq, d)
+        x = x_mid + mlp_out.reshape(x_mid.shape)
         if need_cache:
-            cache.layers.append(
-                dict(
-                    xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, probs=probs, o=o,
-                    xhat2=xhat2, inv2=inv2, pre=pre, phi=phi,
-                )
+            layer.update(
+                xhat1=xhat1, inv1=inv1, o=o, xhat2=xhat2, inv2=inv2, pre=pre, phi=phi
             )
-        x = x_out
+            cache.layers.append(layer)
     return x[:, 0, :], cache
 
 
@@ -321,6 +372,63 @@ def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.nd
     return out
 
 
+def _attention_backward(t, p, cfg: EncoderConfig, c, do, grads):
+    """Backward of _attention: gradients of the fused projection into
+    ``grads``; returns dL/d(xn1) (B, S, d)."""
+    b, h, s, dh = c["q"].shape
+    d = cfg.model_dim
+    scale = 1.0 / np.sqrt(dh)
+    do = do.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+    probs = c["probs"]
+    dprobs = do @ c["v"].transpose(0, 1, 3, 2)
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    # (B*S, 3d) as the fused qkv projection, split as the forward splits it
+    dqkv = np.empty((b, s, 3, h, dh))
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    dq[...] = (dscores @ c["k"]) * scale
+    dk[...] = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
+    dv[...] = probs.transpose(0, 1, 3, 2) @ do
+    dqkv = dqkv.reshape(b * s, 3 * d)
+    xn1 = t[f"{p}.ln1.g"] * c["xhat1"] + t[f"{p}.ln1.b"]
+    grads[f"{p}.attn.wqkv"] = xn1.reshape(b * s, d).T @ dqkv
+    grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=0)
+    return (dqkv @ t[f"{p}.attn.wqkv"].T).reshape(b, s, d)
+
+
+def _pooled_attention_backward(t, p, cfg: EncoderConfig, c, do, grads):
+    """Backward of _pooled_attention: gradients of the fused projection
+    into ``grads`` (the key bias gets exactly 0); returns dL/d(xn1)
+    (B, S, d)."""
+    b, h, dh = c["q"].shape
+    d = cfg.model_dim
+    w = t[f"{p}.attn.wqkv"]
+    wk, wv = _split_heads(w[:, d : 2 * d], h), _split_heads(w[:, 2 * d :], h)
+    xn1 = t[f"{p}.ln1.g"] * c["xhat1"] + t[f"{p}.ln1.b"]
+    probs, u, y = c["probs"], c["u"], c["y"]
+    do = do.reshape(b, h, dh)
+    # o_h = y_h @ Wv_h + bv_h
+    dwv = y.transpose(1, 2, 0) @ do.transpose(1, 0, 2)  # (h, d, dh)
+    dy = (wv @ do[..., None])[..., 0]  # (B, h, d)
+    # y_h = sum_j P_hj xn1_j, P_h = softmax_j(scale * xn1_j . u_h)
+    dprobs = dy @ xn1.transpose(0, 2, 1)
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dscores *= 1.0 / np.sqrt(dh)
+    du = dscores @ xn1
+    dxn1 = probs.transpose(0, 2, 1) @ dy
+    dxn1 += dscores.transpose(0, 2, 1) @ u
+    # u_h = Wk_h @ q_h, q = xn1[:, 0] @ Wq + bq
+    dwk = du.transpose(1, 2, 0) @ c["q"].transpose(1, 0, 2)  # (h, d, dh)
+    dq = (wk.transpose(0, 2, 1) @ du[..., None]).reshape(b, d)
+    dxn1[:, 0] += dq @ w[:, :d].T
+    grads[f"{p}.attn.wqkv"] = np.concatenate(
+        [xn1[:, 0].T @ dq, _merge_heads(dwk), _merge_heads(dwv)], axis=1
+    )
+    grads[f"{p}.attn.bqkv"] = np.concatenate(
+        [dq.sum(axis=0), np.zeros(d), do.sum(axis=0).reshape(d)]
+    )
+    return dxn1
+
+
 def backward(
     params: EncoderParams, cache: ForwardCache, grad_z_head: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -329,10 +437,8 @@ def backward(
         raise EncoderError("cache was produced by different parameters")
     cfg = params.config
     t = params.tensors
-    h, dh = cfg.heads, cfg.head_dim
     b, s = cache.mask.shape
     d = cfg.model_dim
-    scale = 1.0 / np.sqrt(dh)
     dz = np.asarray(grad_z_head, dtype=np.float64)
     if dz.ndim == 1:
         dz = dz[None, :]
@@ -351,54 +457,38 @@ def backward(
     grads["head.ln.g"] = dg
     grads["head.ln.b"] = db
 
-    # dL/d(block output) over the block's sq query rows; the last block
-    # outputs the class token only.
+    # dL/d(block output); the last block outputs the class token only.
     dx = dcls[:, None, :]
 
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}"
         c = cache.layers[i]
-        sq = 1 if i == cfg.layers - 1 else s
 
         # MLP branch: x_out = x_mid + gelu(xn2 @ w1 + b1) @ w2 + b2
-        d_out2 = dx.reshape(b * sq, d)
+        d_out2 = dx.reshape(-1, d)
         pre, phi = c["pre"], c["phi"]
         grads[f"{p}.mlp.w2"] = (pre * phi).T @ d_out2
         grads[f"{p}.mlp.b2"] = d_out2.sum(axis=0)
         dact = d_out2 @ t[f"{p}.mlp.w2"].T
         dpre = dact * gelu_grad(pre, phi)
         xn2 = t[f"{p}.ln2.g"] * c["xhat2"] + t[f"{p}.ln2.b"]
-        grads[f"{p}.mlp.w1"] = xn2.reshape(b * sq, d).T @ dpre
+        grads[f"{p}.mlp.w1"] = xn2.reshape(-1, d).T @ dpre
         grads[f"{p}.mlp.b1"] = dpre.sum(axis=0)
-        dxn2 = (dpre @ t[f"{p}.mlp.w1"].T).reshape(b, sq, d)
+        dxn2 = (dpre @ t[f"{p}.mlp.w1"].T).reshape(dx.shape)
         dmid_ln, dg, db = _ln_backward(dxn2, c["xhat2"], c["inv2"], t[f"{p}.ln2.g"])
         grads[f"{p}.ln2.g"] = dg
         grads[f"{p}.ln2.b"] = db
         d_mid = dx + dmid_ln
 
-        # Attention branch: x_mid = x_in + (merge(P @ V) @ wo + bo)
-        d_mid2 = d_mid.reshape(b * sq, d)
-        grads[f"{p}.attn.wo"] = c["o"].reshape(b * sq, d).T @ d_mid2
+        # Attention branch: x_mid = x_in + (merged heads @ wo + bo)
+        d_mid2 = d_mid.reshape(-1, d)
+        grads[f"{p}.attn.wo"] = c["o"].reshape(-1, d).T @ d_mid2
         grads[f"{p}.attn.bo"] = d_mid2.sum(axis=0)
-        do = (d_mid2 @ t[f"{p}.attn.wo"].T).reshape(b, sq, h, dh).transpose(0, 2, 1, 3)
-        dprobs = do @ c["v"].transpose(0, 1, 3, 2)
-        dv = c["probs"].transpose(0, 1, 3, 2) @ do
-        dscores = c["probs"] * (
-            dprobs - (dprobs * c["probs"]).sum(axis=-1, keepdims=True)
+        do = d_mid2 @ t[f"{p}.attn.wo"].T
+        last = i == cfg.layers - 1
+        dxn1 = (_pooled_attention_backward if last else _attention_backward)(
+            t, p, cfg, c, do, grads
         )
-        dq = (dscores @ c["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-        # (B, h, rows, dh) -> (B*S, 3d) fused with the qkv projection;
-        # query rows past sq had no query and get zero gradient.
-        dqkv = np.zeros((b, s, 3 * d))
-        dqkv[:, :sq, :d] = dq.transpose(0, 2, 1, 3).reshape(b, sq, d)
-        dqkv[:, :, d : 2 * d] = dk.transpose(0, 2, 1, 3).reshape(b, s, d)
-        dqkv[:, :, 2 * d :] = dv.transpose(0, 2, 1, 3).reshape(b, s, d)
-        dqkv = dqkv.reshape(b * s, 3 * d)
-        xn1 = t[f"{p}.ln1.g"] * c["xhat1"] + t[f"{p}.ln1.b"]
-        grads[f"{p}.attn.wqkv"] = xn1.reshape(b * s, d).T @ dqkv
-        grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=0)
-        dxn1 = (dqkv @ t[f"{p}.attn.wqkv"].T).reshape(b, s, d)
         # Without positional embedding only the class-token row of block
         # 0's input gradient is read.
         rows = 1 if i == 0 and not cfg.use_positional_embedding else None
@@ -407,8 +497,11 @@ def backward(
         )
         grads[f"{p}.ln1.g"] = dg
         grads[f"{p}.ln1.b"] = db
-        sq = min(sq, dx.shape[1])
-        dx[:, :sq] += d_mid[:, :sq]
+        # The residual: d_mid covers the class token alone in the last
+        # block and dx the class token alone in block 0 without positional
+        # embedding.
+        n = min(dx.shape[1], d_mid.shape[1])
+        dx[:, :n] += d_mid[:, :n]
 
     grads["class_token"] = dx[:, 0, :].sum(axis=0)
     if cfg.use_positional_embedding:
@@ -426,8 +519,8 @@ def attention_profile(params: EncoderParams, track_embeddings: np.ndarray):
     """
     x, mask = _stack_clips(params, [track_embeddings])
     _, cache = _forward_core(params, x, mask, need_cache=True)
-    probs = cache.layers[-1]["probs"]  # (1, h, 1, S): class-token query only
-    raw = probs[0, :, 0, 1:].mean(axis=0)  # class-token query -> frame tokens
+    probs = cache.layers[-1]["probs"]  # (1, h, S): class-token query only
+    raw = probs[0, :, 1:].mean(axis=0)  # class-token query -> frame tokens
     norm = np.linalg.norm(raw)
     scores = raw / norm
     sigma = float(scores.std())

@@ -19,8 +19,9 @@ weight-decay update, so the three methods train under the same schedule.
 
 ``streamed_step`` is the one training step of vc and ct: it runs a batch in
 groups of clips, each forwarded in length-sorted chunks, handed to the
-method's loss and backpropagated before the next group starts, so only one
-group's activations are alive.  vc's groups are single chunks; ct's hold
+method's loss and backpropagated chunk by chunk before the next group
+starts, each chunk's activations dropped once backpropagated, so at most
+one group's activations are alive.  vc's groups are single chunks; ct's hold
 128 pairs, because its pair loss couples the two clips of a pair.
 """
 
@@ -275,10 +276,12 @@ def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray], groups, lo
     ``groups`` are index arrays into ``clips``.  For each group the step
     forwards its clips in length-sorted chunks of _CHUNK, calls
     ``loss(group, z)`` with the group's head outputs (rows in group order),
-    which returns dL/dz of those rows, backpropagates every chunk and drops
-    the group's caches before the next group starts.  So at most one
-    group's caches are alive, and a loss may couple any clips of a group.
-    Returns (z of all clips, gradients summed over the chunks in order).
+    which returns dL/dz of those rows, then backpropagates the chunks
+    shortest first, dropping each chunk's cache once it is backpropagated.
+    So at most one group's caches are alive, the longest chunk's backward
+    runs beside its own cache only, and a loss may couple any clips of a
+    group.  Returns (z of all clips, gradients summed over the chunks in
+    order).
     """
     z = np.empty((len(clips), params.config.head_out_dim))
     total = None
@@ -289,9 +292,12 @@ def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray], groups, lo
             z[idx], cache = enc.forward_train_batch(params, [clips[i] for i in idx])
             caches.append((pos, cache))
         gz = loss(group, z[group])
-        for pos, cache in caches:
+        caches.reverse()
+        while caches:
+            # rebinding ``cache`` frees the previous chunk's
+            pos, cache = caches.pop()
             total = _add_grads(total, enc.backward(params, cache, gz[pos]))
-        del caches, cache  # freed before the next group's forward pass
+        del cache  # freed before the next group's forward pass
     return z, total
 
 

@@ -24,8 +24,10 @@ from trackcentre.encoder import EncoderError, forward_eval_batch, forward_train_
 GRAD_FLOOR = 1e-6  # relative error floor; some bias gradients are ~0 by symmetry
 
 
-def naive_forward(params, clip):
-    """Independent oracle: the same architecture written as plain loops."""
+def naive_forward(params, clip, cls_probs=None):
+    """Independent oracle: the same architecture written as plain loops.
+    With a list ``cls_probs``, appends per layer the class-token query's
+    attention probabilities, one list over the tokens per head."""
     cfg = params.config
     t = params.tensors
     d, h, dh = cfg.model_dim, cfg.heads, cfg.model_dim // cfg.heads
@@ -76,6 +78,10 @@ def naive_forward(params, clip):
                 exps = [math.exp(sc - mx) for sc in scores]
                 z = sum(exps)
                 probs = [e / z for e in exps]
+                if qi == 0 and cls_probs is not None:
+                    if head == 0:
+                        cls_probs.append([])
+                    cls_probs[-1].append(probs)
                 for a in range(dh):
                     out_row[lo + a] = sum(
                         probs[ki] * v[ki][lo + a] for ki in range(s)
@@ -490,16 +496,58 @@ def test_cache_params_mismatch(rng):
 
 
 def test_softmax_and_ln_internals(rng):
+    """Every token's queries in the first block, the class token's alone
+    (B, h, S) in the last."""
     cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
     p = init_params(cfg, rng)
     clip = rng.standard_normal((5, 8))
     _, cache = forward_train(p, clip)
+    assert cache.layers[0]["probs"].shape == (1, 2, 6, 6)
+    assert cache.layers[1]["probs"].shape == (1, 2, 6)
     for layer in cache.layers:
         probs = layer["probs"]
         sums = probs.sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         xhat = layer["xhat1"][cache.mask]
         assert np.max(np.abs(xhat.mean(axis=-1))) <= 1e-9
+
+
+@pytest.mark.parametrize("positional", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_pooled_block_key_bias_gradient_is_zero(rng, layers, positional):
+    """The key bias adds one constant to every score of the last block's
+    class-token row, which the softmax cancels: its gradient is exactly 0,
+    while the query and value biases get one."""
+    cfg = EncoderConfig(model_dim=8, heads=2, layers=layers, max_positions=8,
+                        use_positional_embedding=positional)
+    p = init_params(cfg, rng)
+    for name, tensor in p.tensors.items():
+        if tensor.ndim == 1 and name != "class_token":
+            tensor += rng.normal(0.0, 0.5, size=tensor.shape)
+    clips = [rng.standard_normal((n, 8)) for n in (1, 6, 3)]
+    z, cache = forward_train_batch(p, clips)
+    grads = backward(p, cache, rng.standard_normal(z.shape))
+    bqkv = grads[f"layers.{layers - 1}.attn.bqkv"]
+    assert np.all(bqkv[8:16] == 0.0)
+    assert np.all(bqkv[:8] != 0.0) and np.all(bqkv[16:] != 0.0)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_attention_profile_matches_naive_class_token_probabilities(rng, layers):
+    """The pooled last block's probabilities equal the naive oracle's
+    class-token softmax over explicit keys (with key bias)."""
+    cfg = EncoderConfig(model_dim=6, heads=3, layers=layers, mlp_hidden=10)
+    p = init_params(cfg, rng)
+    for name, tensor in p.tensors.items():
+        if tensor.ndim == 1 and name != "class_token":
+            tensor += rng.normal(0.0, 0.5, size=tensor.shape)
+    clip = rng.standard_normal((5, 6))
+    cls_probs = []
+    naive_forward(p, clip, cls_probs)
+    raw = np.mean(cls_probs[-1], axis=0)[1:]
+    scores, sigma = attention_profile(p, clip)
+    assert np.max(np.abs(scores - raw / np.linalg.norm(raw))) <= 1e-12
+    assert sigma == pytest.approx(float(np.std(raw / np.linalg.norm(raw))), abs=1e-12)
 
 
 def test_ln_unit_variance(rng):

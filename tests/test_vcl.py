@@ -1,6 +1,7 @@
 """Clip sampler, epoch rows, vc loss/gradients, centres, schedule and trainer."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +246,30 @@ def test_streamed_step_bit_identical_to_bucketed(rng):
         assert list(grads) == list(grads_ref) == list(p.tensors)
         for name in grads:
             assert np.array_equal(grads[name], grads_ref[name]), name
+
+
+def test_streamed_step_frees_each_cache_after_its_backward(rng, monkeypatch):
+    """When a chunk's backward starts, the caches of every chunk
+    backpropagated before it, in its group and earlier groups, are gone."""
+    cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
+    p = init_params(cfg, rng)
+    lengths = rng.integers(1, 13, size=150)
+    clips = [rng.standard_normal((int(n), 8)) for n in lengths]
+    order = np.argsort(lengths, kind="stable")
+    groups = [order[:100], order[100:]]  # four chunks, then two
+    done = []
+    alive_at_start = []
+    real_backward = enc.backward
+
+    def backward(params, cache, gz):
+        alive_at_start.append([ref() is not None for ref in done])
+        done.append(weakref.ref(cache))
+        return real_backward(params, cache, gz)
+
+    monkeypatch.setattr(enc, "backward", backward)
+    streamed_step(p, clips, groups, lambda group, z: np.ones_like(z))
+    assert len(done) == 6
+    assert alive_at_start == [[False] * i for i in range(6)]
 
 
 def test_init_centres_match_single_track_head(rng):
