@@ -161,23 +161,27 @@ def train_pairwise(
     n_matrix: CannotLinkMatrix,
     config: TrainConfig,
     encoder_config: enc.EncoderConfig | None = None,
-    mlp_hidden: int | None = None,
     mlp_out_dim: int = 2,
 ):
     """Pairwise contrastive training; returns (params, history).
 
-    "mlp": frame-level Siamese MLP on the frame pairs of ``sample_pairs``.
+    "mlp": frame-level Siamese MLP (hidden width dim // 2) on the frame
+    pairs of ``sample_pairs``.
     "transformer": clip-vs-clip training of the encoder head outputs.
+    Both return the final model; any other checkpoint policy raises
+    ``TrainError``.
     """
     cfg = config
+    if cfg.checkpoint_policy != "final":
+        raise TrainError(f"checkpoint policy {cfg.checkpoint_policy!r} is for vc only; "
+                         "pairwise training keeps the final model")
     tracks = trackset.tracks
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
     have_negatives = n_matrix.any_links()
 
     if model_kind == "mlp":
-        hidden = mlp_hidden if mlp_hidden is not None else max(1, trackset.dim // 2)
-        params = init_mlp(trackset.dim, hidden, mlp_out_dim, rng)
+        params = init_mlp(trackset.dim, max(1, trackset.dim // 2), mlp_out_dim, rng)
         neg_per_epoch = cfg.repel_per_track * m if have_negatives else 0
         frames = np.concatenate([t.embeddings for t in tracks])
         offsets = np.cumsum([0] + [t.length for t in tracks[:-1]])

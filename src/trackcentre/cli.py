@@ -24,7 +24,8 @@ from .constraints import derive_cannot_links
 from .trackio import (SyntheticSpec, TrackSet, _atomic_open, generate_synthetic,
                       load_trackset, save_trackset)
 
-METHODS = ("vc", "ct", "tsiam", "avg")
+# The model kind each method trains and evaluates; avg has none.
+_KINDS = {"vc": "encoder", "ct": "encoder", "tsiam": "mlp", "avg": None}
 
 
 class CliError(Exception):
@@ -85,41 +86,24 @@ def _encoder_config_from_args(args, dim: int) -> enc.EncoderConfig:
     )
 
 
-def _manifest_dict(method, tracks_path, seed, train_cfg, enc_cfg, out_dir) -> dict:
-    return {
-        "method": method,
-        "tracks": str(tracks_path),
-        "seed": seed,
-        "train_config": asdict(train_cfg),
-        "encoder_config": asdict(enc_cfg) if enc_cfg is not None else None,
-        "out_dir": str(out_dir),
-    }
-
-
 def _run_training(method: str, trackset: TrackSet, train_cfg: vcl.TrainConfig,
                   enc_cfg: enc.EncoderConfig):
-    """Dispatch one training method; returns (kind, params, history)."""
+    """Train vc, ct or tsiam; returns (params, history)."""
     n_matrix = derive_cannot_links(trackset)
     if method == "vc":
         params, _, history = vcl.train(trackset, n_matrix, enc_cfg, train_cfg)
-        return "encoder", params, history
+        return params, history
     if method == "ct":
-        params, history = baselines.train_pairwise(
+        return baselines.train_pairwise(
             "transformer", trackset, n_matrix, train_cfg, encoder_config=enc_cfg
         )
-        return "encoder", params, history
-    if method == "tsiam":
-        params, history = baselines.train_pairwise(
-            "mlp", trackset, n_matrix, train_cfg,
-            mlp_out_dim=enc_cfg.head_out_dim,
-        )
-        return "mlp", params, history
-    raise CliError(f"method {method!r} requires no training" if method == "avg"
-                   else f"unknown method {method!r}")
+    return baselines.train_pairwise(
+        "mlp", trackset, n_matrix, train_cfg, mlp_out_dim=enc_cfg.head_out_dim
+    )
 
 
-def _save_model(path, kind: str, params) -> None:
-    if kind == "encoder":
+def _save_model(path, params) -> None:
+    if isinstance(params, enc.EncoderParams):
         meta = {"kind": "encoder", "config": asdict(params.config)}
     else:
         meta = {"kind": "mlp", "config": None}
@@ -144,57 +128,65 @@ def _check_tensors(path, tensors, want, model: str) -> None:
             )
 
 
-def _load_model(path):
-    """Load a checkpoint as (kind, params).  An encoder checkpoint must hold
-    exactly the tensors, and shapes, that ``init_params`` makes for its
-    config, an mlp checkpoint exactly w1 (d, h), b1 (h,), w2 (h, z) and
-    b2 (z,); any other layout raises ``CheckpointError`` naming the file."""
+def _load_model(path, want: str, what: str, dim: int):
+    """Load the params that ``what`` ("method vc", "attn") needs: a model of
+    kind ``want`` over ``dim``-dimensional frames, else ``CliError``.  An
+    encoder checkpoint must hold exactly the tensors, and shapes, that
+    ``init_params`` makes for its config, an mlp checkpoint exactly w1 (d, h),
+    b1 (h,), w2 (h, z) and b2 (z,); any other layout raises ``CheckpointError``
+    naming the file."""
     meta, tensors = checkpoint.load_checkpoint(path)
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind == "mlp":
         w1, w2 = tensors.get("w1"), tensors.get("w2")
         d, h = w1.shape if w1 is not None and w1.ndim == 2 else ("d", "h")
         z = w2.shape[1] if w2 is not None and w2.ndim == 2 else "z"
-        want = {"w1": (d, h), "b1": (h,), "w2": (h, z), "b2": (z,)}
-        _check_tensors(path, tensors, want, "an mlp")
-        return "mlp", baselines.SiameseMlpParams(tensors=tensors)
-    if kind != "encoder":
+        shapes = {"w1": (d, h), "b1": (h,), "w2": (h, z), "b2": (z,)}
+        _check_tensors(path, tensors, shapes, "an mlp")
+        params = baselines.SiameseMlpParams(tensors=tensors)
+    elif kind == "encoder":
+        try:
+            cfg = enc.EncoderConfig(**meta["config"])
+        except (KeyError, TypeError, enc.EncoderError) as exc:
+            raise checkpoint.CheckpointError(f"{path}: bad encoder config: {exc}") from exc
+        init = enc.init_params(cfg, np.random.default_rng(0)).tensors
+        _check_tensors(path, tensors, {n: t.shape for n, t in init.items()},
+                       "an encoder of this config")
+        params = enc.EncoderParams(config=cfg, tensors=tensors)
+    else:
         raise checkpoint.CheckpointError(f"{path}: unknown model kind {kind!r}")
-    try:
-        cfg = enc.EncoderConfig(**meta["config"])
-    except (KeyError, TypeError, enc.EncoderError) as exc:
-        raise checkpoint.CheckpointError(f"{path}: bad encoder config: {exc}") from exc
-    want = enc.init_params(cfg, np.random.default_rng(0)).tensors
-    _check_tensors(path, tensors, {n: t.shape for n, t in want.items()},
-                   "an encoder of this config")
-    return "encoder", enc.EncoderParams(config=cfg, tensors=tensors)
+    if kind != want:
+        raise CliError(f"{what} needs an {want} checkpoint, got an {kind} checkpoint")
+    got_dim = params.in_dim if kind == "mlp" else params.config.model_dim
+    if got_dim != dim:
+        raise CliError(f"checkpoint dim {got_dim} != tracks dim {dim}")
+    return params
 
 
-def _representations(kind: str, params, trackset: TrackSet) -> np.ndarray:
-    if kind == "encoder":
+def _representations(params, trackset: TrackSet) -> np.ndarray:
+    """Track representations of an encoder, an mlp or (params None) avg."""
+    if isinstance(params, enc.EncoderParams):
         return enc.forward_eval_batch(params, [t.embeddings for t in trackset.tracks])
-    if kind == "mlp":
+    if isinstance(params, baselines.SiameseMlpParams):
         return np.stack(
             [baselines.track_representation_mlp(params, t) for t in trackset.tracks]
         )
     return np.stack([baselines.temporal_average(t) for t in trackset.tracks])
 
 
-def _metrics_row(video_id, method, reps, trackset, stop) -> dict:
+METRIC_COLUMNS = ["video_id", "method", "k_pred", "k_true", "nmi", "wcp", "c_dif", "sdbw"]
+
+
+def _metrics_row(method, params, trackset, stop) -> dict:
+    """Cluster the representations of ``params`` and score them; a metric
+    that needs labels, or two clusters, is left empty without them."""
+    reps = _representations(params, trackset)
     assign = hac(reps, linkage="average", stop=stop)
     labels = trackset.labels()
     have_labels = all(l is not None for l in labels)
     k_true = len(set(labels)) if have_labels else ""
-    row = {
-        "video_id": video_id,
-        "method": method,
-        "k_pred": assign.k,
-        "k_true": k_true,
-        "nmi": "",
-        "wcp": "",
-        "c_dif": "",
-        "sdbw": "",
-    }
+    row = dict.fromkeys(METRIC_COLUMNS, "")
+    row.update(video_id=trackset.video_id, method=method, k_pred=assign.k, k_true=k_true)
     if have_labels:
         truth = np.array(labels)
         row["nmi"] = nmi(assign.as_array(), truth)
@@ -205,15 +197,11 @@ def _metrics_row(video_id, method, reps, trackset, stop) -> dict:
     return row
 
 
-METRIC_COLUMNS = ["video_id", "method", "k_pred", "k_true", "nmi", "wcp", "c_dif", "sdbw"]
-
-
 def _write_metrics(path, rows) -> None:
     with _atomic_open(path, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=METRIC_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_synth(args) -> int:
@@ -274,25 +262,33 @@ def _read_run_manifest(path):
 
 
 def cmd_train(args) -> int:
-    if args.method == "avg":
-        raise CliError("avg requires no training")
     if args.manifest:
         method, tracks_path, train_cfg, enc_cfg, out_dir = _read_run_manifest(args.manifest)
     else:
-        method = args.method
-        tracks_path = args.tracks
+        missing = [f for f, v in (("--tracks", args.tracks), ("--out", args.out)) if v is None]
+        if missing:
+            raise CliError(f"train needs {' and '.join(missing)} unless --manifest is given")
+        method, tracks_path, out_dir = args.method, args.tracks, Path(args.out)
         train_cfg = _train_config_from_args(args)
-        out_dir = Path(args.out)
+    if _KINDS.get(method) is None:
+        raise CliError("avg requires no training" if method == "avg"
+                       else f"unknown method {method!r}")
     trackset = load_trackset(tracks_path)
     if not args.manifest:
         enc_cfg = _encoder_config_from_args(args, trackset.dim)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest_dict(method, tracks_path, train_cfg.seed, train_cfg,
-                              enc_cfg, out_dir)
+    manifest = {
+        "method": method,
+        "tracks": str(tracks_path),
+        "seed": train_cfg.seed,
+        "train_config": asdict(train_cfg),
+        "encoder_config": asdict(enc_cfg),
+        "out_dir": str(out_dir),
+    }
     with _atomic_open(out_dir / "run_manifest.json") as f:
         f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    kind, params, history = _run_training(method, trackset, train_cfg, enc_cfg)
-    _save_model(out_dir / "checkpoint.tcv1", kind, params)
+    params, history = _run_training(method, trackset, train_cfg, enc_cfg)
+    _save_model(out_dir / "checkpoint.tcv1", params)
     vcl.write_history_csv(out_dir / "history.csv", history)
     print(f"trained {method} for {train_cfg.epochs} epochs; "
           f"final mean loss {history[-1]['mean_loss']:.6f}")
@@ -302,22 +298,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     trackset = load_trackset(args.tracks)
     stop = _stop_from_args(args)
-    if args.method == "avg":
-        kind, params = "avg", None
-    else:
+    params = None
+    if _KINDS[args.method] is not None:
         if not args.checkpoint:
             raise CliError("--checkpoint required unless --method avg")
-        kind, params = _load_model(args.checkpoint)
-        want = "mlp" if args.method == "tsiam" else "encoder"
-        if kind != want:
-            raise CliError(
-                f"method {args.method} needs an {want} checkpoint, got an {kind} checkpoint"
-            )
-        dim = params.config.model_dim if kind == "encoder" else params.in_dim
-        if dim != trackset.dim:
-            raise CliError(f"checkpoint dim {dim} != tracks dim {trackset.dim}")
-    reps = _representations(kind, params, trackset)
-    row = _metrics_row(trackset.video_id, args.method, reps, trackset, stop)
+        params = _load_model(args.checkpoint, _KINDS[args.method],
+                             f"method {args.method}", trackset.dim)
+    row = _metrics_row(args.method, params, trackset, stop)
     _write_metrics(args.out, [row])
     print(f"wrote {args.out}: k_pred={row['k_pred']} nmi={row['nmi']} wcp={row['wcp']}")
     return 0
@@ -325,13 +312,7 @@ def cmd_eval(args) -> int:
 
 def cmd_attn(args) -> int:
     trackset = load_trackset(args.tracks)
-    kind, params = _load_model(args.checkpoint)
-    if kind != "encoder":
-        raise CliError("attn requires an encoder checkpoint")
-    if params.config.model_dim != trackset.dim:
-        raise CliError(
-            f"checkpoint dim {params.config.model_dim} != tracks dim {trackset.dim}"
-        )
+    params = _load_model(args.checkpoint, "encoder", "attn", trackset.dim)
     with _atomic_open(args.out, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["track_id", "frame", "score", "sigma", "is_distractor"])
@@ -358,12 +339,10 @@ def cmd_compare(args) -> int:
     enc_cfg = _encoder_config_from_args(args, trackset.dim)
     rows = []
     for method in ("avg", "tsiam", "ct", "vc"):
-        if method == "avg":
-            kind, params = "avg", None
-        else:
-            kind, params, _ = _run_training(method, trackset, train_cfg, enc_cfg)
-        reps = _representations(kind, params, trackset)
-        rows.append(_metrics_row(trackset.video_id, method, reps, trackset, stop))
+        params = None
+        if _KINDS[method] is not None:
+            params, _ = _run_training(method, trackset, train_cfg, enc_cfg)
+        rows.append(_metrics_row(method, params, trackset, stop))
     _write_metrics(args.out, rows)
     for row in rows:
         print(f"{row['method']:>6}: k_pred={row['k_pred']} "
@@ -398,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a representation model")
     p.add_argument("--tracks", help="track container path stem")
-    p.add_argument("--method", choices=METHODS, default="vc")
+    p.add_argument("--method", choices=_KINDS, default="vc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
     p.add_argument("--manifest", help="reproduce a run from its manifest file")
@@ -408,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="cluster representations and emit metrics")
     p.add_argument("--tracks", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--method", choices=METHODS, default="vc")
+    p.add_argument("--method", choices=_KINDS, default="vc")
     p.add_argument("--known-k", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True, help="metrics CSV path")

@@ -1,5 +1,7 @@
 """Temporal averaging and pairwise contrastive baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ def test_transformer_mode_requires_config(separable_trackset):
     n = derive_cannot_links(separable_trackset)
     with pytest.raises(TrainError, match="encoder_config"):
         train_pairwise("transformer", separable_trackset, n, baseline_config())
+
+
+@pytest.mark.parametrize("kind", ["mlp", "transformer"])
+def test_pairwise_rejects_best_sdbw_policy(separable_trackset, kind):
+    """Pairwise training keeps its final model, so a request for the best
+    epoch by S_Dbw fails instead of being ignored."""
+    ts = separable_trackset
+    cfg = dataclasses.replace(baseline_config(), checkpoint_policy="best_sdbw")
+    enc_cfg = EncoderConfig(model_dim=ts.dim, heads=2, layers=1)
+    with pytest.raises(TrainError, match="checkpoint policy 'best_sdbw' is for vc only"):
+        train_pairwise(kind, ts, derive_cannot_links(ts), cfg, encoder_config=enc_cfg)
 
 
 def test_mlp_mode_separable_end_to_end(separable_trackset):

@@ -291,3 +291,79 @@ def test_eval_rejects_malformed_mlp_checkpoint(tracks_path, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: {path}: {message}" in err, err
     assert not metrics.exists()
+
+
+def test_eval_and_attn_reject_checkpoint_of_another_dim(tracks_path, tmp_path, capsys):
+    """eval and attn exit 1, writing nothing, when the checkpoint's input dim
+    differs from the tracks' dim; attn also rejects an mlp checkpoint."""
+    other = tmp_path / "dim4"
+    save_trackset(generate_synthetic(SyntheticSpec(
+        identity_count=2, tracks_per_identity=2, dim=4, seed=1)), other)
+    mlp, encoder = tmp_path / "mlp", tmp_path / "vc"
+    assert run(train_args(tracks_path, mlp, method="tsiam", epochs=2)) == 0
+    assert run(train_args(tracks_path, encoder, method="vc", epochs=2)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    cases = [
+        (["eval", "--method", "vc", "--known-k", 2], encoder, other,
+         "checkpoint dim 8 != tracks dim 4"),
+        (["eval", "--method", "tsiam", "--known-k", 2], mlp, other,
+         "checkpoint dim 8 != tracks dim 4"),
+        (["attn"], encoder, other, "checkpoint dim 8 != tracks dim 4"),
+        (["attn"], mlp, tracks_path,
+         "attn needs an encoder checkpoint, got an mlp checkpoint"),
+    ]
+    for command, model, tracks, message in cases:
+        assert run([*command, "--tracks", tracks, "--checkpoint",
+                    model / "checkpoint.tcv1", "--out", out]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", [["--tracks"], ["--out"], ["--tracks", "--out"]])
+def test_train_names_missing_flags(tracks_path, tmp_path, capsys, missing):
+    out = tmp_path / "o"
+    argv = train_args(tracks_path, out, epochs=2)
+    for flag in missing:
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    assert run(argv) == 1
+    assert (f"error: train needs {' and '.join(missing)} unless --manifest is given"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, message", [("avg", "avg requires no training"),
+                                             ("foo", "unknown method 'foo'")])
+def test_train_manifest_of_untrainable_method_writes_nothing(tracks_path, tmp_path,
+                                                             capsys, method, message):
+    model = tmp_path / "vc"
+    assert run(train_args(tracks_path, model, epochs=2)) == 0
+    manifest = json.loads((model / "run_manifest.json").read_text())
+    out = tmp_path / "repro"
+    mpath = tmp_path / "repro.json"
+    mpath.write_text(json.dumps({**manifest, "method": method, "out_dir": str(out)}))
+    capsys.readouterr()
+    assert run(["train", "--manifest", mpath]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ct", "tsiam"])
+def test_pairwise_methods_reject_best_sdbw(tracks_path, tmp_path, capsys, method):
+    """best_sdbw keeps vc's best epoch; ct and tsiam have no such policy and
+    fail instead of training under a policy their manifest would misreport."""
+    out = tmp_path / method
+    assert run(train_args(tracks_path, out, method=method, epochs=2,
+                          extra=["--checkpoint-policy", "best_sdbw"])) == 1
+    assert "checkpoint policy 'best_sdbw' is for vc only" in capsys.readouterr().err
+    assert not (out / "checkpoint.tcv1").exists()
+
+
+def test_compare_rejects_best_sdbw(tracks_path, tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--tracks", tracks_path, "--out", out, "--epochs", 2,
+                "--batch-size", 64, "--layers", 1, "--heads", 2,
+                "--checkpoint-policy", "best_sdbw"]) == 1
+    assert "checkpoint policy 'best_sdbw' is for vc only" in capsys.readouterr().err
+    assert not out.exists()
