@@ -10,6 +10,9 @@ batch through one forward and one backward call of the MLP, whose cache
 keeps the GELU gate for the backward call.  ct streams a batch through
 ``vcl.streamed_step`` in groups of _GROUP_PAIRS pairs ordered by each
 pair's longer clip, so its memory is bounded by one group's activations.
+Frames are widened to float64 where the arithmetic starts: the averages
+sum in float64 and tsiam's frame table and the MLP's track input are
+float64 copies.
 Both pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so
 all three methods share one schedule, sized from the epoch's drawn items.
 """
@@ -99,8 +102,8 @@ def mlp_backward(params: SiameseMlpParams, x, cache, dout):
 
 
 def temporal_average(track: EmbeddingTrack) -> np.ndarray:
-    """Arithmetic mean of the track's frame embeddings."""
-    return track.embeddings.mean(axis=0)
+    """Arithmetic mean of the track's frame embeddings, summed in float64."""
+    return track.embeddings.mean(axis=0, dtype=np.float64)
 
 
 def pairwise_contrastive_loss(z_i, z_j, y: int, g: float) -> float:
@@ -142,17 +145,25 @@ def _interleaved_pair_loss(z, ys, g, n: int):
 
 def _pair_groups(batch: np.ndarray) -> list[np.ndarray]:
     """ct's groups of a batch of pair rows: _GROUP_PAIRS pairs at a time in
-    the order of each pair's longer clip, as indices of the interleaved
-    clips (2p for side a of pair p, 2p + 1 for side b)."""
-    longer = np.maximum(batch[:, 2], batch[:, 5])
-    return [np.stack((2 * p, 2 * p + 1), axis=1).ravel()
-            for p in enc.length_chunks(longer, _GROUP_PAIRS)]
+    the stable order of each pair's longer clip, as indices of the
+    interleaved clips (2p for side a of pair p, 2p + 1 for side b)."""
+    order = np.argsort(np.maximum(batch[:, 2], batch[:, 5]), kind="stable")
+    groups = [order[g0 : g0 + _GROUP_PAIRS] for g0 in range(0, len(order), _GROUP_PAIRS)]
+    return [np.stack((2 * p, 2 * p + 1), axis=1).ravel() for p in groups]
 
 
 def track_representation_mlp(params: SiameseMlpParams, track: EmbeddingTrack):
     """Temporal average of the per-frame MLP projections."""
-    out, _ = mlp_forward(params, track.embeddings)
+    out, _ = mlp_forward(params, np.asarray(track.embeddings, dtype=np.float64))
     return out.mean(axis=0)
+
+
+def check_final_policy(cfg: TrainConfig) -> None:
+    """Pairwise training keeps its final model: any other checkpoint policy
+    raises TrainError naming it."""
+    if cfg.checkpoint_policy != "final":
+        raise TrainError(f"checkpoint policy {cfg.checkpoint_policy!r} is for vc only; "
+                         "pairwise training keeps the final model")
 
 
 def train_pairwise(
@@ -172,9 +183,7 @@ def train_pairwise(
     ``TrainError``.
     """
     cfg = config
-    if cfg.checkpoint_policy != "final":
-        raise TrainError(f"checkpoint policy {cfg.checkpoint_policy!r} is for vc only; "
-                         "pairwise training keeps the final model")
+    check_final_policy(cfg)
     tracks = trackset.tracks
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
@@ -183,7 +192,7 @@ def train_pairwise(
     if model_kind == "mlp":
         params = init_mlp(trackset.dim, max(1, trackset.dim // 2), mlp_out_dim, rng)
         neg_per_epoch = cfg.repel_per_track * m if have_negatives else 0
-        frames = np.concatenate([t.embeddings for t in tracks])
+        frames = np.concatenate([t.embeddings for t in tracks], dtype=np.float64)
         offsets = np.cumsum([0] + [t.length for t in tracks[:-1]])
 
         def draw():

@@ -276,6 +276,10 @@ def cmd_train(args) -> int:
     trackset = load_trackset(tracks_path)
     if not args.manifest:
         enc_cfg = _encoder_config_from_args(args, trackset.dim)
+    if method == "vc":
+        vcl.sdbw_identities(trackset, train_cfg)
+    else:
+        baselines.check_final_policy(train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "method": method,

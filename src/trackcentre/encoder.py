@@ -9,7 +9,13 @@ class-token state itself, head discarded.
 The forward/backward passes operate on padded batches with a key mask so
 that a whole training batch of variable-length clips is processed in a few
 dense GEMMs.  Padded positions are masked out of attention and contribute
-exact zeros to every gradient.  Everything is float64.
+exact zeros to every gradient.  The arithmetic is float64: clips may be
+float32 or float64 and are widened as they are copied into the padded
+batch.
+
+Every batched caller runs its inputs in the chunks of ``token_chunks``:
+length-sorted, each padding to at most CHUNK_TOKENS tokens, so a chunk's
+attention buffers are bounded however long or many its inputs are.
 
 Only the final class-token state reaches an output, so the last block runs
 as class-token attention pooling: its query is the class token's alone,
@@ -28,8 +34,11 @@ from scipy.special import ndtr
 LN_EPS = 1e-6
 _MASKED_BIAS = -1e30
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# Tracks per chunk of forward_eval_batch.
-_EVAL_CHUNK = 16
+# Padded tokens (clips x (1 + longest clip)) per chunk of token_chunks.
+# Against 256 and 1024, 512 ran the eval forward and vc and ct training
+# fastest (256 slowed vc training by a tenth); the eval forward of a
+# 1000-track video then peaks at about 5 MB.
+CHUNK_TOKENS = 512
 
 
 class EncoderError(Exception):
@@ -171,21 +180,35 @@ def _ln_backward(dy, xhat, inv, g, dx_rows=None):
     return dx, dg, db
 
 
-def length_chunks(lengths, size: int) -> list[np.ndarray]:
-    """Index arrays covering ``range(len(lengths))`` in stable length order,
-    ``size`` indices at a time, so each chunk pads only to its own longest
-    item."""
+def token_chunks(lengths, tokens: int) -> list[np.ndarray]:
+    """Index arrays covering ``range(len(lengths))`` in stable length order.
+
+    A chunk takes items while its padded size, count x (1 + its longest
+    length), stays within ``tokens``; an item longer than that runs alone.
+    So each chunk pads only to its own longest item and its memory is
+    bounded by ``tokens``, not by the item count.
+    """
     order = np.argsort(lengths, kind="stable")
-    return [order[c0 : c0 + size] for c0 in range(0, len(order), size)]
+    if len(order) == 0:
+        return []
+    padded = (np.asarray(lengths)[order] + 1).tolist()
+    chunks, start = [], 0
+    for i in range(1, len(order)):
+        if (i - start + 1) * padded[i] > tokens:
+            chunks.append(order[start:i])
+            start = i
+    chunks.append(order[start:])
+    return chunks
 
 
 def _check_clips(params: EncoderParams, clips) -> list[np.ndarray]:
     """Validate a non-empty batch of (n, model_dim) clips; returns them as
-    float64 arrays."""
+    arrays, float32 clips as they are and any other as float64."""
     d = params.config.model_dim
     if len(clips) == 0:
         raise EncoderError("empty batch")
-    out = [np.asarray(c, dtype=np.float64) for c in clips]
+    out = [np.asarray(c) for c in clips]
+    out = [c if c.dtype == np.float32 else np.asarray(c, dtype=np.float64) for c in out]
     for c in out:
         if c.ndim != 2 or c.shape[1] != d:
             raise EncoderError(
@@ -199,8 +222,10 @@ def _check_clips(params: EncoderParams, clips) -> list[np.ndarray]:
 
 
 def _pad_clips(params: EncoderParams, clips: list[np.ndarray]):
-    """Build (B, S, d) input with class token plus the validity mask from
-    clips already passed through _check_clips."""
+    """Build the float64 (B, S, d) input with class token plus the validity
+    mask from clips already passed through _check_clips.  Float32 frames
+    are widened, exactly, as they are added to the positional embedding or
+    copied into the batch."""
     lens = np.array([c.shape[0] for c in clips])
     s = 1 + int(lens.max())
     mask = np.zeros((len(clips), s), dtype=bool)
@@ -359,14 +384,15 @@ def forward_eval(params: EncoderParams, track_embeddings: np.ndarray) -> np.ndar
 def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.ndarray:
     """Evaluation representations (B, d) of many tracks, in input order.
 
-    Tracks run in length-sorted chunks of _EVAL_CHUNK, so memory is bounded
-    by the chunk size times the longest track rather than by the whole
-    batch, and each chunk pads only to its own longest track.  Rows equal
-    one padded batch within rounding.
+    Tracks run in the length-sorted chunks of ``token_chunks``, at most
+    CHUNK_TOKENS padded tokens each (a longer track alone), so the
+    attention buffers are bounded by the budget rather than by the track
+    count times the longest track squared, and each chunk pads only to its
+    own longest track.  Rows equal one padded batch within rounding.
     """
     tracks = _check_clips(params, tracks)
     out = np.empty((len(tracks), params.config.model_dim))
-    for idx in length_chunks([t.shape[0] for t in tracks], _EVAL_CHUNK):
+    for idx in token_chunks([t.shape[0] for t in tracks], CHUNK_TOKENS):
         x, mask = _pad_clips(params, [tracks[i] for i in idx])
         out[idx], _ = _forward_core(params, x, mask, need_cache=False)
     return out

@@ -2,8 +2,12 @@
 
 A track container is a pair of files: ``<name>.manifest.json`` describing
 the tracks and ``<name>.emb`` holding the raw frame embeddings as
-little-endian float32, row-major frames x dim, no header.  Embeddings are
-widened to float64 on load; all in-memory computation is done in float64.
+little-endian float32, row-major frames x dim, no header.  A loaded
+container keeps its frames as they are stored: one float32 (frames, dim)
+array, of which each track's embeddings are a view.  Frames become float64
+where arithmetic happens (the encoder's padded batch, temporal averages,
+the MLP's inputs); widening float32 is exact, so results are those of
+float64 frames bit for bit.
 """
 
 from __future__ import annotations
@@ -31,14 +35,17 @@ class EmbeddingTrack:
     track_id: int
     start_frame: int
     end_frame: int
-    embeddings: np.ndarray  # (n, d) float64
+    embeddings: np.ndarray  # (n, d) float32 or float64, as given
     label: int | None = None
     # Frames flagged as distractors by the synthetic generator.  Diagnostic
     # only; never consulted by training code.
     distractor_frames: tuple[int, ...] = ()
 
     def __post_init__(self):
-        emb = np.ascontiguousarray(np.asarray(self.embeddings, dtype=np.float64))
+        emb = np.asarray(self.embeddings)
+        if emb.dtype not in (np.float32, np.float64):
+            emb = emb.astype(np.float64)
+        emb = np.ascontiguousarray(emb)
         object.__setattr__(self, "embeddings", emb)
         if self.track_id < 0:
             raise TrackIOError(f"track_id must be non-negative, got {self.track_id}")
@@ -167,14 +174,13 @@ def _atomic_open(path, mode: str = "w", **kwargs):
 
 def save_trackset(trackset: TrackSet, path) -> None:
     """Write the manifest + embedding blob for ``trackset``, each file
-    atomically.
+    atomically; the blob is written one track at a time.
 
     Output bytes are a pure function of the trackset contents.
     """
     manifest_path, blob_path = _paths(path)
     entries = []
     offset = 0
-    blobs = []
     for t in trackset.tracks:
         entry = {
             "track_id": t.track_id,
@@ -187,7 +193,6 @@ def save_trackset(trackset: TrackSet, path) -> None:
         if t.distractor_frames:
             entry["distractor_frames"] = list(t.distractor_frames)
         entries.append(entry)
-        blobs.append(t.embeddings.astype("<f4").tobytes())
         offset += t.length
     manifest = {
         "video_id": trackset.video_id,
@@ -197,7 +202,8 @@ def save_trackset(trackset: TrackSet, path) -> None:
     with _atomic_open(manifest_path, encoding="utf-8") as f:
         f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     with _atomic_open(blob_path, "wb") as f:
-        f.write(b"".join(blobs))
+        for t in trackset.tracks:
+            f.write(t.embeddings.astype("<f4", copy=False))
 
 
 _ENTRY_INTS = ("track_id", "start_frame", "end_frame", "offset", "count")
@@ -234,6 +240,8 @@ def load_trackset(path) -> TrackSet:
     Every manifest entry must carry its integer fields, and the entries'
     offsets must run in order, without gaps or overlap, to the end of the
     blob.  Any violation raises :class:`TrackIOError` naming the manifest.
+    The blob is read once into one float32 (frames, dim) array; each
+    track's embeddings are a view of its rows.
     """
     manifest_path, blob_path = _paths(path)
     if not manifest_path.exists():
@@ -264,13 +272,21 @@ def load_trackset(path) -> TrackSet:
             raise corrupt(f"track entry {i}: {error}")
         total += e["count"]
 
-    data = blob_path.read_bytes()
-    if len(data) != total * dim * 4:
-        raise TrackIOError(
-            f"{manifest_path}: dimension mismatch: blob holds {len(data)} bytes, "
+    def mismatch(nbytes) -> TrackIOError:
+        return TrackIOError(
+            f"{manifest_path}: dimension mismatch: blob holds {nbytes} bytes, "
             f"manifest implies {total * dim} float32 values"
         )
-    raw = np.frombuffer(data, dtype="<f4")
+
+    size = blob_path.stat().st_size
+    if size != total * dim * 4:
+        raise mismatch(size)
+    if total == 0:
+        raise TrackIOError(f"{manifest_path}: empty trackset")
+    frames = np.fromfile(blob_path, dtype="<f4")
+    if frames.size != total * dim:  # the blob changed since its size was read
+        raise mismatch(frames.size * 4)
+    frames = frames.reshape(total, dim)
     try:
         tracks = tuple(
             EmbeddingTrack(
@@ -278,9 +294,7 @@ def load_trackset(path) -> TrackSet:
                 start_frame=e["start_frame"],
                 end_frame=e["end_frame"],
                 label=e["label"],
-                embeddings=raw[e["offset"] * dim : (e["offset"] + e["count"]) * dim]
-                .astype(np.float64)
-                .reshape(e["count"], dim),
+                embeddings=frames[e["offset"] : e["offset"] + e["count"]],
                 distractor_frames=tuple(e.get("distractor_frames", ())),
             )
             for e in entries

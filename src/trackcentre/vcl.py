@@ -5,7 +5,7 @@ Each track owns a latent-space centre.  Clip representations are attracted
 to their own centre and repelled (hinge with margin g) from centres of
 cannot-linked tracks.  Parameters are trained with SGD + momentum under a
 OneCycle schedule; centres take SGD steps at a proportional rate eta = p*xi
-and are periodically re-established from whole tracks: the length-chunked
+and are periodically re-established from whole tracks: the token-chunked
 evaluation forward followed by the training head.
 
 vc draws each epoch as one int64 array, one row
@@ -18,11 +18,12 @@ schedule from the first epoch's item count and applies the momentum and
 weight-decay update, so the three methods train under the same schedule.
 
 ``streamed_step`` is the one training step of vc and ct: it runs a batch in
-groups of clips, each forwarded in length-sorted chunks, handed to the
-method's loss and backpropagated chunk by chunk before the next group
-starts, each chunk's activations dropped once backpropagated, so at most
-one group's activations are alive.  vc's groups are single chunks; ct's hold
-128 pairs, because its pair loss couples the two clips of a pair.
+groups of clips, each forwarded in the token-bounded chunks of
+``encoder.token_chunks``, handed to the method's loss and backpropagated
+chunk by chunk before the next group starts, each chunk's activations
+dropped once backpropagated, so at most one group's activations are alive.
+vc's groups are single chunks; ct's hold 128 pairs, because its pair loss
+couples the two clips of a pair.
 """
 
 from __future__ import annotations
@@ -255,12 +256,6 @@ class OneCycleSGD:
         return self.lr
 
 
-# Clips per length-sorted chunk of a training batch: small enough that each
-# chunk pads little past its own clips, large enough that the GEMMs stay
-# efficient.
-_CHUNK = 32
-
-
 def _add_grads(total, grads):
     """Add one chunk's gradients into the running total (None at first)."""
     if total is None:
@@ -274,10 +269,12 @@ def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray], groups, lo
     """Gradients of one batch, one group of clips at a time.
 
     ``groups`` are index arrays into ``clips``.  For each group the step
-    forwards its clips in length-sorted chunks of _CHUNK, calls
-    ``loss(group, z)`` with the group's head outputs (rows in group order),
-    which returns dL/dz of those rows, then backpropagates the chunks
-    shortest first, dropping each chunk's cache once it is backpropagated.
+    forwards its clips in the length-sorted chunks of
+    ``encoder.token_chunks``, at most ``encoder.CHUNK_TOKENS`` padded tokens
+    each (a longer clip alone), calls ``loss(group, z)`` with the group's
+    head outputs (rows in group order), which returns dL/dz of those rows,
+    then backpropagates the chunks shortest first, dropping each chunk's
+    cache once it is backpropagated.
     So at most one group's caches are alive, the longest chunk's backward
     runs beside its own cache only, and a loss may couple any clips of a
     group.  Returns (z of all clips, gradients summed over the chunks in
@@ -287,7 +284,7 @@ def streamed_step(params: enc.EncoderParams, clips: list[np.ndarray], groups, lo
     total = None
     for group in groups:
         caches = []
-        for pos in enc.length_chunks([clips[i].shape[0] for i in group], _CHUNK):
+        for pos in enc.token_chunks([clips[i].shape[0] for i in group], enc.CHUNK_TOKENS):
             idx = group[pos]
             z[idx], cache = enc.forward_train_batch(params, [clips[i] for i in idx])
             caches.append((pos, cache))
@@ -332,7 +329,7 @@ def _update_centres(centres, ci, z, ys, eta: float, g: float) -> None:
 
 def init_centres(params: enc.EncoderParams, trackset: TrackSet) -> CentreTable:
     """Whole-track centres: the training head on the class-token states of
-    the length-chunked evaluation forward."""
+    the token-chunked evaluation forward."""
     cls = enc.forward_eval_batch(params, [t.embeddings for t in trackset.tracks])
     return CentreTable(centres=enc.head_forward(params, cls))
 
@@ -356,6 +353,21 @@ def _draw_samples(tracks, partner_lists, cfg: TrainConfig,
     return np.array(rows, dtype=np.int64)
 
 
+def sdbw_identities(trackset: TrackSet, cfg: TrainConfig) -> int | None:
+    """The cluster count of the best_sdbw policy's per-epoch HAC, the
+    tracks' identity count; None under the final policy.  Raises TrainError
+    unless every track is labeled and there are two identities or more."""
+    if cfg.checkpoint_policy != "best_sdbw":
+        return None
+    labels = trackset.labels()
+    if any(l is None for l in labels):
+        raise TrainError("best_sdbw checkpoint policy requires labeled tracks")
+    k = len(set(labels))
+    if k < 2:
+        raise TrainError("best_sdbw checkpoint policy needs >= 2 identities")
+    return k
+
+
 def train(
     trackset: TrackSet,
     n_matrix: CannotLinkMatrix,
@@ -372,6 +384,7 @@ def train(
     any scheduled centre recompute.
     """
     cfg = train_config
+    sdbw_k = sdbw_identities(trackset, cfg)
     tracks = trackset.tracks
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
@@ -386,14 +399,6 @@ def train(
     history: list[dict] = []
     best_sdbw = np.inf
     best_tensors = None
-    sdbw_k = None
-    if cfg.checkpoint_policy == "best_sdbw":
-        labels = [t.label for t in tracks]
-        if any(l is None for l in labels):
-            raise TrainError("best_sdbw checkpoint policy requires labeled tracks")
-        sdbw_k = len(set(labels))
-        if sdbw_k < 2:
-            raise TrainError("best_sdbw checkpoint policy needs >= 2 identities")
 
     for epoch in range(1, cfg.epochs + 1):
         for batch in opt.batches(_draw_samples(tracks, partner_lists, cfg, rng)):
@@ -405,9 +410,9 @@ def train(
                 losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], cfg.margin)
                 return gz / len(batch)
 
-            # One length-sorted chunk per group: the vc loss of a clip
-            # involves that clip alone.
-            groups = enc.length_chunks(batch[:, 2], _CHUNK)
+            # One chunk per group: the vc loss of a clip involves that clip
+            # alone.
+            groups = enc.token_chunks(batch[:, 2], enc.CHUNK_TOKENS)
             z_batch, grads = streamed_step(params, clips_of(tracks, batch), groups, loss)
             opt.add_losses(losses)
             lr = opt.step(grads)

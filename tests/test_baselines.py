@@ -23,7 +23,7 @@ from trackcentre.baselines import (
     track_representation_mlp,
 )
 from trackcentre.trackio import TrackSet
-from trackcentre.vcl import _CHUNK, OneCycleSGD, TrainError
+from trackcentre.vcl import OneCycleSGD, TrainError
 
 from conftest import loss_batch, make_track
 
@@ -366,7 +366,8 @@ def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
             side_a, side_b = side(rows, a_cols), side(rows, b_cols)
             if kind != "mlp" and len(pairs) == 128:
                 # several length-sorted chunks of mixed lengths
-                assert len(side_a) + len(side_b) > _CHUNK
+                lengths = [c.shape[0] for c in side_a + side_b]
+                assert len(enc.token_chunks(lengths, enc.CHUNK_TOKENS)) > 1
                 assert len({c.shape[0] for c in side_a + side_b}) > 5
             za, zb, ref = two_pass_reference(forward, backward, side_a, side_b,
                                              rows[:, -1], cfg.margin, n)

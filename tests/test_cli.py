@@ -352,12 +352,36 @@ def test_train_manifest_of_untrainable_method_writes_nothing(tracks_path, tmp_pa
 @pytest.mark.parametrize("method", ["ct", "tsiam"])
 def test_pairwise_methods_reject_best_sdbw(tracks_path, tmp_path, capsys, method):
     """best_sdbw keeps vc's best epoch; ct and tsiam have no such policy and
-    fail instead of training under a policy their manifest would misreport."""
+    fail, before writing anything, instead of training under a policy their
+    manifest would misreport."""
     out = tmp_path / method
     assert run(train_args(tracks_path, out, method=method, epochs=2,
                           extra=["--checkpoint-policy", "best_sdbw"])) == 1
     assert "checkpoint policy 'best_sdbw' is for vc only" in capsys.readouterr().err
-    assert not (out / "checkpoint.tcv1").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((None, None, None), "best_sdbw checkpoint policy requires labeled tracks"),
+    ((1, 1, 1), "best_sdbw checkpoint policy needs >= 2 identities"),
+], ids=["unlabeled", "one-identity"])
+def test_vc_best_sdbw_without_identities_writes_nothing(tmp_path, rng, capsys,
+                                                        labels, message):
+    """vc's best_sdbw policy clusters into the tracks' identities: without
+    labels, or with one identity, train exits 1 before writing anything."""
+    from trackcentre import EmbeddingTrack, TrackSet
+
+    tracks = tuple(
+        EmbeddingTrack(i, 4 * i, 4 * i + 2, rng.standard_normal((3, 4)), label=label)
+        for i, label in enumerate(labels)
+    )
+    path = tmp_path / "tracks"
+    save_trackset(TrackSet(tracks=tracks, dim=4, video_id="v"), path)
+    out = tmp_path / "vc"
+    assert run(train_args(path, out, epochs=2,
+                          extra=["--checkpoint-policy", "best_sdbw"])) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_rejects_best_sdbw(tracks_path, tmp_path, capsys):

@@ -6,9 +6,11 @@ backward pass against central finite differences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trackcentre import (
     EncoderConfig,
@@ -449,17 +451,54 @@ def test_batched_forward_matches_single(rng):
 
 
 def test_eval_batch_chunks_keep_input_order(rng):
-    """More tracks than one chunk, lengths shuffled: each row belongs to its
-    own input track."""
+    """More tracks than one chunk holds, lengths shuffled: each row belongs
+    to its own input track."""
     cfg = EncoderConfig(model_dim=8, heads=2, layers=2)
     p = init_params(cfg, rng)
     lengths = rng.permutation(np.arange(150) % 23 + 1)
     tracks = [rng.standard_normal((int(n), 8)) for n in lengths]
-    assert len(tracks) > enc._EVAL_CHUNK
+    assert len(enc.token_chunks(lengths, enc.CHUNK_TOKENS)) > 1
     reps = forward_eval_batch(p, tracks)
     assert reps.shape == (150, 8)
     for i, track in enumerate(tracks):
         assert np.max(np.abs(reps[i] - forward_eval(p, track))) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(1, 80), max_size=60), tokens=st.integers(1, 700))
+def test_token_chunks_fill_the_budget_in_length_order(lengths, tokens):
+    """The chunks cover every index once, in stable length order; a chunk of
+    two or more items pads to at most ``tokens``, and taking the next item
+    as well would pad to more."""
+    chunks = enc.token_chunks(lengths, tokens)
+    flat = [int(i) for chunk in chunks for i in chunk]
+    assert flat == sorted(range(len(lengths)), key=lambda i: lengths[i])
+    for c, chunk in enumerate(chunks):
+        assert len(chunk) >= 1
+        if len(chunk) >= 2:
+            assert len(chunk) * (1 + max(lengths[i] for i in chunk)) <= tokens
+        if c + 1 < len(chunks):
+            assert (len(chunk) + 1) * (1 + lengths[chunks[c + 1][0]]) > tokens
+
+
+def test_eval_batch_memory_bounded_by_token_budget(rng):
+    """64 tracks of 400 frames: each runs alone within the token budget, so
+    the forward's traced peak stays under 30 MB, which one padded chunk of
+    16 of these tracks exceeds by far."""
+    cfg = EncoderConfig(model_dim=32, heads=4, layers=2)
+    p = init_params(cfg, rng)
+    tracks = [rng.standard_normal((400, 32)).astype(np.float32) for _ in range(64)]
+    tracemalloc.start()
+    try:
+        forward_eval_batch(p, tracks)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        x, mask = enc._stack_clips(p, tracks[:16])
+        enc._forward_core(p, x, mask, need_cache=False)
+        peak_16 = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6 < peak_16
 
 
 def test_eval_batch_empty(rng):

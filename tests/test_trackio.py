@@ -96,6 +96,68 @@ def test_load_dimension_mismatch(tmp_path, rng):
         load_trackset(tmp_path / "x")
 
 
+@pytest.mark.parametrize("cut", [1, -4, -1], ids=["short-byte", "long", "long-byte"])
+def test_load_blob_of_wrong_size(tmp_path, rng, cut):
+    """A blob shorter or longer than the manifest implies, by a value or by a
+    byte, raises TrackIOError naming the manifest."""
+    save_trackset(random_trackset(rng, n_tracks=3, dim=4), tmp_path / "x")
+    blob = tmp_path / "x.emb"
+    data = blob.read_bytes()
+    blob.write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+    with pytest.raises(TrackIOError, match="dimension mismatch") as info:
+        load_trackset(tmp_path / "x")
+    assert "x.manifest.json" in str(info.value)
+    assert f"blob holds {len(data) - cut} bytes" in str(info.value)
+
+
+@pytest.mark.parametrize("dim", [4, 2**70])
+def test_load_container_without_tracks(tmp_path, dim):
+    """A manifest listing no tracks, beside an empty blob, raises
+    TrackIOError naming the manifest, whatever its dim."""
+    (tmp_path / "x.manifest.json").write_text(
+        json.dumps({"video_id": "v", "dim": dim, "tracks": []}))
+    (tmp_path / "x.emb").write_bytes(b"")
+    with pytest.raises(TrackIOError, match="x.manifest.json: empty trackset"):
+        load_trackset(tmp_path / "x")
+
+
+def test_loaded_tracks_are_float32_views_of_one_array(tmp_path, rng):
+    """The blob is read into one float32 (frames, dim) array; each track's
+    embeddings are its rows, in manifest order, not a copy."""
+    ts = random_trackset(rng, n_tracks=5, dim=3)
+    save_trackset(ts, tmp_path / "x")
+    loaded = load_trackset(tmp_path / "x")
+    frames = loaded.tracks[0].embeddings.base
+    assert frames.dtype == np.float32
+    assert frames.size == sum(t.length for t in ts.tracks) * 3
+    offset = 0
+    for t in loaded.tracks:
+        assert t.embeddings.dtype == np.float32 and t.embeddings.base is frames
+        assert np.shares_memory(t.embeddings, frames)
+        assert np.array_equal(t.embeddings, frames.reshape(-1, 3)[offset : offset + t.length])
+        offset += t.length
+
+
+def test_resaving_a_loaded_container_is_byte_identical(tmp_path):
+    """Float64 frames saved, loaded as float32 and saved again give both
+    files byte for byte."""
+    spec = SyntheticSpec(identity_count=3, tracks_per_identity=4, dim=6,
+                         distractor_prob=0.2, seed=4)
+    save_trackset(generate_synthetic(spec), tmp_path / "a")
+    save_trackset(load_trackset(tmp_path / "a"), tmp_path / "b")
+    for suffix in (".manifest.json", ".emb"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_track_keeps_float32_and_float64_and_widens_others(rng):
+    x = rng.standard_normal((2, 3))
+    for given_dtype, kept in ((np.float32, np.float32), (np.float64, np.float64),
+                              (np.float16, np.float64), (np.int64, np.float64)):
+        t = EmbeddingTrack(0, 0, 1, x.astype(given_dtype))
+        assert t.embeddings.dtype == kept
+    assert EmbeddingTrack(0, 0, 0, [[1, 2]]).embeddings.dtype == np.float64
+
+
 def test_load_duplicate_id(tmp_path, rng):
     ts = random_trackset(rng, n_tracks=2, dim=2, max_len=2)
     save_trackset(ts, tmp_path / "x")

@@ -24,7 +24,6 @@ from trackcentre.vcl import (
     TrainError,
     _batch_loss_and_gradz,
     _draw_samples,
-    _CHUNK,
     _update_centres,
     clips_of,
     init_centres,
@@ -205,7 +204,7 @@ def bucketed_reference(p, clips, centres, ys, g):
     every chunk's cache kept, then one backward per chunk in order."""
     z = np.empty((len(clips), p.config.head_out_dim))
     caches = []
-    for idx in enc.length_chunks([c.shape[0] for c in clips], _CHUNK):
+    for idx in enc.token_chunks([c.shape[0] for c in clips], enc.CHUNK_TOKENS):
         z[idx], cache = enc.forward_train_batch(p, [clips[i] for i in idx])
         caches.append((idx, cache))
     losses, gz = _batch_loss_and_gradz(z, centres, ys, g)
@@ -221,7 +220,7 @@ def test_streamed_step_bit_identical_to_bucketed(rng):
     """The streamed step with one length-sorted chunk per group, as vc runs
     it, gives the same z, losses and gradients, bit for bit, as one forward
     over all chunks followed by one backward per chunk."""
-    lengths = rng.integers(1, 13, size=75)  # three chunks, ragged last one
+    lengths = rng.integers(1, 13, size=110)  # three chunks, ragged last one
     for cfg in (
         EncoderConfig(model_dim=8, heads=2, layers=2),
         EncoderConfig(model_dim=8, heads=2, layers=3, use_positional_embedding=True,
@@ -237,7 +236,8 @@ def test_streamed_step_bit_identical_to_bucketed(rng):
             losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], 1.0)
             return gz / len(clips)
 
-        groups = enc.length_chunks(lengths, _CHUNK)
+        groups = enc.token_chunks(lengths, enc.CHUNK_TOKENS)
+        assert [len(g) for g in groups] == [58, 42, 10]
         z, grads = streamed_step(p, clips, groups, loss)
 
         z_ref, loss_ref, grads_ref = bucketed_reference(p, clips, centres, ys, 1.0)
@@ -256,7 +256,7 @@ def test_streamed_step_frees_each_cache_after_its_backward(rng, monkeypatch):
     lengths = rng.integers(1, 13, size=150)
     clips = [rng.standard_normal((int(n), 8)) for n in lengths]
     order = np.argsort(lengths, kind="stable")
-    groups = [order[:100], order[100:]]  # four chunks, then two
+    groups = [order[:100], order[100:]]  # two chunks, then two
     done = []
     alive_at_start = []
     real_backward = enc.backward
@@ -268,8 +268,10 @@ def test_streamed_step_frees_each_cache_after_its_backward(rng, monkeypatch):
 
     monkeypatch.setattr(enc, "backward", backward)
     streamed_step(p, clips, groups, lambda group, z: np.ones_like(z))
-    assert len(done) == 6
-    assert alive_at_start == [[False] * i for i in range(6)]
+    chunks = [len(enc.token_chunks(lengths[g], enc.CHUNK_TOKENS)) for g in groups]
+    assert chunks == [2, 2]
+    assert len(done) == 4
+    assert alive_at_start == [[False] * i for i in range(4)]
 
 
 def test_init_centres_match_single_track_head(rng):
