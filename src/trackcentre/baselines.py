@@ -40,8 +40,10 @@ from .vcl import (
 
 # Pairs per group of ct's streamed step.  A group's caches are alive from
 # its forward to its backward pass, so this bounds ct's memory; larger
-# groups pad a little less (measured valid/padded tokens: 0.84 at 64 pairs,
-# 0.89 at 128, 0.92 at 256 and for a whole 512-pair batch).
+# groups pad a little less (valid/padded tokens of ct's training forwards,
+# chunked by token_chunks, on the compare-baselines video, seeds 1-3:
+# 0.81 at 64 pairs, 0.86-0.87 at 128, 0.91-0.92 at 256 and 0.93 for a
+# whole 512-pair batch).
 _GROUP_PAIRS = 128
 
 

@@ -22,6 +22,15 @@ as class-token attention pooling: its query is the class token's alone,
 folded into the key weights, and the tokens are pooled before the value
 projection.  Its stored weights keep the fused q/k/v layout of every other
 block.
+
+The kernels spend as few numpy calls and passes over a chunk's tensors as
+they can.  LayerNorm's row means are GEMVs and its variance a row dot
+product; the weight gradients of the projections a LayerNorm feeds are
+taken from its cached normalised rows (``_ln_weight_grad``), so its output
+is not recomputed.  The softmax sums its rows with a GEMV, and the
+attention backward takes its row term on the attention output
+(``_scores_grad``).  scipy's ``ndtr``, the GELU gate, is the largest
+single operation left and is kept as it is.
 """
 
 from __future__ import annotations
@@ -35,9 +44,11 @@ LN_EPS = 1e-6
 _MASKED_BIAS = -1e30
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Padded tokens (clips x (1 + longest clip)) per chunk of token_chunks.
-# Against 256 and 1024, 512 ran the eval forward and vc and ct training
-# fastest (256 slowed vc training by a tenth); the eval forward of a
-# 1000-track video then peaks at about 5 MB.
+# CPU time at 256 / 512 / 1024 tokens (medians of 5 interleaved rounds,
+# one BLAS thread, 2-core x86 host): the eval forward of a 1000-track
+# video 385 / 371 / 376 ms, vc 4 epochs on its 100-track window 2.10 /
+# 1.88 / 1.99 s, ct 4 epochs on a 100-track video 2.30 / 2.20 / 2.36 s;
+# the eval forward peaks at 2.7 / 5.0 / 10.0 MB (tracemalloc).
 CHUNK_TOKENS = 512
 
 
@@ -90,14 +101,17 @@ class ForwardCache:
     """What ``backward`` reads of one batched forward pass, and the mask.
 
     Per block it keeps the LayerNorm states (``xhat``, ``inv``), the
-    attention output ``o``, the MLP pre-activation and its GELU gate
-    ``phi``, and the attention's own tensors: in every block but the last
-    q, k, v (B, h, S, dh) and the probabilities (B, h, S, S); in the last,
-    the class token's query ``q`` (B, h, dh), its folded keys ``u`` (B, h,
-    d), its probabilities (B, h, S) and the pooled tokens ``y`` (B, h, d).
-    What ``backward`` can recompute bit for bit is not kept: the LayerNorm
-    outputs ``g * xhat + b``, the GELU output ``pre * phi`` and the padded
-    input, of which only the shape is needed.
+    attention output ``o`` (which also gives ``_scores_grad`` its row
+    term), the MLP pre-activation and its GELU gate ``phi``, and the
+    attention's own tensors: in every block but the last q, k, v (B, h, S,
+    dh) and the probabilities (B, h, S, S); in the last, the class token's
+    query ``q`` (B, h, dh), its folded keys ``u`` (B, h, d), its
+    probabilities (B, h, S) and the pooled tokens ``y`` (B, h, d).
+    Not kept: the LayerNorm outputs ``g * xhat + b`` (the weight gradients
+    of the projections they feed are taken from ``xhat``; only the pooled
+    block recomputes its ``xn1``), the GELU output ``pre * phi``, which
+    ``backward`` recomputes bit for bit, and the padded input, of which
+    only the shape is needed.
     """
 
     params: EncoderParams
@@ -150,34 +164,67 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
 
 
 def gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Derivative of gelu(x) = x * phi, given the gate phi = ndtr(x)."""
-    return phi + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    """Derivative of gelu(x) = x * phi, given the gate phi = ndtr(x):
+    ``phi + x * exp(-0.5 * x * x) / sqrt(2 pi)``, evaluated in one buffer."""
+    out = np.multiply(x, -0.5)
+    out *= x
+    np.exp(out, out=out)
+    out *= x
+    out *= _INV_SQRT_2PI
+    out += phi
+    return out
 
 
 def _ln_forward(x, g, b):
-    """Row-wise layer norm over the last axis; returns (y, xhat, inv_std)."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, xhat, inv
+    """Row-wise layer norm over the last axis; returns (y, xhat, inv_std).
+
+    The row mean is a GEMV with a 1/d vector and the variance a row dot
+    product, so no reduction makes a temporary of x's size; xhat is
+    normalised in place."""
+    d = x.shape[-1]
+    xhat = x - (x @ np.full(d, 1.0 / d))[..., None]
+    inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    inv *= 1.0 / d
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    y = xhat * g
+    y += b
+    return y, xhat, inv
 
 
 def _ln_backward(dy, xhat, inv, g, dx_rows=None):
     """Returns (dx, dg, db); dg/db summed over all leading axes.  With
-    ``dx_rows``, dx covers only the first ``dx_rows`` entries of axis 1."""
-    axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
+    ``dx_rows``, dx covers only the first ``dx_rows`` entries of axis 1.
+
+    dx = inv * (dy*g - mean(dy*g) - xhat * mean(dy*g*xhat)); both row
+    means are GEMVs with g/d, the second over the ``dy * xhat`` that dg
+    sums."""
+    d = dy.shape[-1]
+    dyx = dy * xhat
+    dg = dyx.reshape(-1, d).sum(axis=0)
+    db = dy.reshape(-1, d).sum(axis=0)
     if dx_rows is not None:
-        dy, xhat, inv = dy[:, :dx_rows], xhat[:, :dx_rows], inv[:, :dx_rows]
-    dxh = dy * g
-    dx = inv * (
-        dxh
-        - dxh.mean(axis=-1, keepdims=True)
-        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-    )
+        dy, xhat, inv, dyx = (a[:, :dx_rows] for a in (dy, xhat, inv, dyx))
+    gd = g * (1.0 / d)
+    dx = dy * g
+    dx -= (dy @ gd)[..., None]
+    np.multiply(xhat, (dyx @ gd)[..., None], out=dyx)
+    dx -= dyx
+    dx *= inv
     return dx, dg, db
+
+
+def _ln_weight_grad(xhat, g, b, dy, dy_sum):
+    """Gradient of W in ``(g * xhat + b) @ W`` for the row gradients ``dy``
+    (rows, n), whose column sums ``dy_sum`` are the bias gradient:
+    ``g[:, None] * (xhat.T @ dy) + outer(b, dy_sum)``, so the LayerNorm
+    output is not recomputed."""
+    gw = xhat.reshape(-1, xhat.shape[-1]).T @ dy
+    gw *= g[:, None]
+    gw += b[:, None] * dy_sum
+    return gw
 
 
 def token_chunks(lengths, tokens: int) -> list[np.ndarray]:
@@ -201,31 +248,43 @@ def token_chunks(lengths, tokens: int) -> list[np.ndarray]:
     return chunks
 
 
+def _check_finite(frames: np.ndarray) -> None:
+    if not np.isfinite(frames).all():
+        raise EncoderError("non-finite values in clip embeddings")
+
+
 def _check_clips(params: EncoderParams, clips) -> list[np.ndarray]:
-    """Validate a non-empty batch of (n, model_dim) clips; returns them as
-    arrays, float32 clips as they are and any other as float64."""
+    """Check the shapes of a non-empty batch of (n, model_dim) clips;
+    returns them as arrays, float32 clips as they are and any other as
+    float64.
+
+    Finiteness is checked by _pad_clips, once per padded batch.  When a
+    shape check fails, the clips before the failing one are checked for
+    finiteness first, so the first bad clip in input order decides the
+    message."""
     d = params.config.model_dim
     if len(clips) == 0:
         raise EncoderError("empty batch")
     out = [np.asarray(c) for c in clips]
     out = [c if c.dtype == np.float32 else np.asarray(c, dtype=np.float64) for c in out]
-    for c in out:
+    for i, c in enumerate(out):
         if c.ndim != 2 or c.shape[1] != d:
-            raise EncoderError(
-                f"clip shape {c.shape} incompatible with model_dim {d}"
-            )
-        if c.shape[0] < 1:
-            raise EncoderError("empty clip")
-        if not np.isfinite(c).all():
-            raise EncoderError("non-finite values in clip embeddings")
+            message = f"clip shape {c.shape} incompatible with model_dim {d}"
+        elif c.shape[0] < 1:
+            message = "empty clip"
+        else:
+            continue
+        for earlier in out[:i]:
+            _check_finite(earlier)
+        raise EncoderError(message)
     return out
 
 
 def _pad_clips(params: EncoderParams, clips: list[np.ndarray]):
     """Build the float64 (B, S, d) input with class token plus the validity
-    mask from clips already passed through _check_clips.  Float32 frames
-    are widened, exactly, as they are added to the positional embedding or
-    copied into the batch."""
+    mask from clips already passed through _check_clips, after checking
+    that their frames are finite.  Float32 frames are widened, exactly, as
+    they are added to the positional embedding or copied into the batch."""
     lens = np.array([c.shape[0] for c in clips])
     s = 1 + int(lens.max())
     mask = np.zeros((len(clips), s), dtype=bool)
@@ -233,6 +292,7 @@ def _pad_clips(params: EncoderParams, clips: list[np.ndarray]):
     mask[:, 1:] = np.arange(s - 1) < lens[:, None]
     rows, pos = np.nonzero(mask[:, 1:])  # clip-major, as the frames below
     frames = np.concatenate(clips)
+    _check_finite(frames)
     if params.config.use_positional_embedding:
         pe = params.tensors["pos_embedding"]
         if s - 1 > pe.shape[0]:
@@ -267,7 +327,9 @@ def _softmax(scores: np.ndarray, scale: float, bias: np.ndarray) -> np.ndarray:
     scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    total = scores @ np.ones(scores.shape[-1])
+    np.reciprocal(total, out=total)
+    scores *= total[..., None]
     return scores
 
 
@@ -330,14 +392,17 @@ def _forward_core(params: EncoderParams, x, mask, need_cache: bool):
         last = i == cfg.layers - 1
         xn1, xhat1, inv1 = _ln_forward(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
         o, layer = (_pooled_attention if last else _attention)(t, p, cfg, xn1, bias)
-        attn_out = (o.reshape(-1, cfg.model_dim) @ t[f"{p}.attn.wo"]).reshape(o.shape)
-        attn_out += t[f"{p}.attn.bo"]
-        x_mid = (x[:, :1] if last else x) + attn_out
+        x_mid = (o.reshape(-1, cfg.model_dim) @ t[f"{p}.attn.wo"]).reshape(o.shape)
+        x_mid += t[f"{p}.attn.bo"]
+        x_mid += x[:, :1] if last else x
         xn2, xhat2, inv2 = _ln_forward(x_mid, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-        pre = xn2.reshape(-1, cfg.model_dim) @ t[f"{p}.mlp.w1"] + t[f"{p}.mlp.b1"]
+        pre = xn2.reshape(-1, cfg.model_dim) @ t[f"{p}.mlp.w1"]
+        pre += t[f"{p}.mlp.b1"]
         phi = ndtr(pre)  # standard normal CDF; gelu(pre) = pre * phi
-        mlp_out = (pre * phi) @ t[f"{p}.mlp.w2"] + t[f"{p}.mlp.b2"]
-        x = x_mid + mlp_out.reshape(x_mid.shape)
+        x = (pre * phi) @ t[f"{p}.mlp.w2"]
+        x += t[f"{p}.mlp.b2"]
+        x = x.reshape(x_mid.shape)
+        x += x_mid
         if need_cache:
             layer.update(
                 xhat1=xhat1, inv1=inv1, o=o, xhat2=xhat2, inv2=inv2, pre=pre, phi=phi
@@ -398,26 +463,42 @@ def forward_eval_batch(params: EncoderParams, tracks: list[np.ndarray]) -> np.nd
     return out
 
 
+def _scores_grad(do, o, v, probs, scale):
+    """Gradient (B, h, S, S) of the scores ``scale * q @ k.T`` from that of
+    the attention output ``O = P @ V``, with ``do`` and ``o`` (B, S, h, dh):
+    ``scale * P * (dP - rowsum(dP * P))`` where ``dP = dO @ V.T``.
+
+    As O = P @ V, rowsum(dP * P) = rowsum(dO * O), so the row term is taken
+    on (B, S, h, dh) and not on (B, h, S, S); dscores is formed in place in
+    dP, and the scale goes on dO, the smaller tensor."""
+    do_s = do * scale
+    row = np.einsum("bshd,bshd->bhs", do_s, o)
+    dscores = do_s.transpose(0, 2, 1, 3) @ v.transpose(0, 1, 3, 2)
+    dscores -= row[..., None]
+    dscores *= probs
+    return dscores
+
+
 def _attention_backward(t, p, cfg: EncoderConfig, c, do, grads):
     """Backward of _attention: gradients of the fused projection into
     ``grads``; returns dL/d(xn1) (B, S, d)."""
     b, h, s, dh = c["q"].shape
     d = cfg.model_dim
     scale = 1.0 / np.sqrt(dh)
-    do = do.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+    do = do.reshape(b, s, h, dh)
     probs = c["probs"]
-    dprobs = do @ c["v"].transpose(0, 1, 3, 2)
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dscores = _scores_grad(do, c["o"].reshape(b, s, h, dh), c["v"], probs, scale)
     # (B*S, 3d) as the fused qkv projection, split as the forward splits it
     dqkv = np.empty((b, s, 3, h, dh))
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-    dq[...] = (dscores @ c["k"]) * scale
-    dk[...] = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-    dv[...] = probs.transpose(0, 1, 3, 2) @ do
+    np.matmul(dscores, c["k"], out=dq)
+    np.matmul(dscores.transpose(0, 1, 3, 2), c["q"], out=dk)
+    np.matmul(probs.transpose(0, 1, 3, 2), do.transpose(0, 2, 1, 3), out=dv)
     dqkv = dqkv.reshape(b * s, 3 * d)
-    xn1 = t[f"{p}.ln1.g"] * c["xhat1"] + t[f"{p}.ln1.b"]
-    grads[f"{p}.attn.wqkv"] = xn1.reshape(b * s, d).T @ dqkv
     grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=0)
+    grads[f"{p}.attn.wqkv"] = _ln_weight_grad(
+        c["xhat1"], t[f"{p}.ln1.g"], t[f"{p}.ln1.b"], dqkv, grads[f"{p}.attn.bqkv"]
+    )
     return (dqkv @ t[f"{p}.attn.wqkv"].T).reshape(b, s, d)
 
 
@@ -436,8 +517,10 @@ def _pooled_attention_backward(t, p, cfg: EncoderConfig, c, do, grads):
     dwv = y.transpose(1, 2, 0) @ do.transpose(1, 0, 2)  # (h, d, dh)
     dy = (wv @ do[..., None])[..., 0]  # (B, h, d)
     # y_h = sum_j P_hj xn1_j, P_h = softmax_j(scale * xn1_j . u_h)
-    dprobs = dy @ xn1.transpose(0, 2, 1)
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    # rowsum(dP * P) = dy . y, as in _scores_grad
+    dscores = dy @ xn1.transpose(0, 2, 1)
+    dscores -= np.einsum("bhd,bhd->bh", dy, y)[..., None]
+    dscores *= probs
     dscores *= 1.0 / np.sqrt(dh)
     du = dscores @ xn1
     dxn1 = probs.transpose(0, 2, 1) @ dy
@@ -495,16 +578,17 @@ def backward(
         pre, phi = c["pre"], c["phi"]
         grads[f"{p}.mlp.w2"] = (pre * phi).T @ d_out2
         grads[f"{p}.mlp.b2"] = d_out2.sum(axis=0)
-        dact = d_out2 @ t[f"{p}.mlp.w2"].T
-        dpre = dact * gelu_grad(pre, phi)
-        xn2 = t[f"{p}.ln2.g"] * c["xhat2"] + t[f"{p}.ln2.b"]
-        grads[f"{p}.mlp.w1"] = xn2.reshape(-1, d).T @ dpre
+        dpre = d_out2 @ t[f"{p}.mlp.w2"].T
+        dpre *= gelu_grad(pre, phi)
         grads[f"{p}.mlp.b1"] = dpre.sum(axis=0)
+        grads[f"{p}.mlp.w1"] = _ln_weight_grad(
+            c["xhat2"], t[f"{p}.ln2.g"], t[f"{p}.ln2.b"], dpre, grads[f"{p}.mlp.b1"]
+        )
         dxn2 = (dpre @ t[f"{p}.mlp.w1"].T).reshape(dx.shape)
-        dmid_ln, dg, db = _ln_backward(dxn2, c["xhat2"], c["inv2"], t[f"{p}.ln2.g"])
+        d_mid, dg, db = _ln_backward(dxn2, c["xhat2"], c["inv2"], t[f"{p}.ln2.g"])
         grads[f"{p}.ln2.g"] = dg
         grads[f"{p}.ln2.b"] = db
-        d_mid = dx + dmid_ln
+        d_mid += dx
 
         # Attention branch: x_mid = x_in + (merged heads @ wo + bo)
         d_mid2 = d_mid.reshape(-1, d)

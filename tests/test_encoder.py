@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from trackcentre import (
     EncoderConfig,
@@ -425,6 +426,10 @@ def test_stack_clips_matches_per_clip_reference(rng, positional):
         [clips[1], rng.standard_normal((3, 5))],
         [clips[1], np.zeros((0, 4))],
         [],
+        # the first bad clip in input order decides the message
+        [clips[0], late_nan[3], rng.standard_normal((3, 5))],
+        [clips[0], late_nan[3], np.zeros((0, 4))],
+        [clips[0], rng.standard_normal((3, 5)), late_nan[3]],
     ]
     for case in cases:
         got = outcome(enc._stack_clips, p, case)
@@ -434,6 +439,7 @@ def test_stack_clips_matches_per_clip_reference(rng, positional):
         else:
             assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
     assert outcome(enc._stack_clips, p, late_nan) == "non-finite values in clip embeddings"
+    assert outcome(enc._stack_clips, p, cases[8]) == "non-finite values in clip embeddings"
     if positional:
         assert outcome(enc._stack_clips, p, cases[3]) == "clip length 7 exceeds max_positions 6"
 
@@ -462,6 +468,10 @@ def test_eval_batch_chunks_keep_input_order(rng):
     assert reps.shape == (150, 8)
     for i, track in enumerate(tracks):
         assert np.max(np.abs(reps[i] - forward_eval(p, track))) <= 1e-12
+    # finiteness is checked chunk by chunk, the last chunk's too
+    tracks[int(np.argmax(lengths))][-1, 0] = np.nan
+    with pytest.raises(EncoderError, match="non-finite values in clip embeddings"):
+        forward_eval_batch(p, tracks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -654,3 +664,102 @@ def test_duplicated_frame_symmetric_gradients(rng):
             dn = scalar(cp)
             g.append((up - dn) / (2 * h_step))
         assert g[0] == pytest.approx(g[1], rel=1e-6, abs=1e-9)
+
+
+# Kernels against their textbook forms, on padded random inputs: rows of
+# zeros where the padding is, as block 0's input has.  A kernel matches when
+# its largest difference is at most REL times the reference's largest entry.
+REL = 1e-13
+
+
+def close(got, ref):
+    return np.max(np.abs(got - ref)) <= REL * np.max(np.abs(ref))
+
+
+def padded_rows(rng, b=5, s=9, d=16):
+    lens = rng.integers(1, s, size=b)
+    mask = np.arange(s) <= lens[:, None]
+    x = 3.0 * rng.standard_normal((b, s, d)) + rng.standard_normal((b, s, 1))
+    return x * mask[..., None], mask
+
+
+def textbook_ln(x):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + enc.LN_EPS)
+    return xc * inv, inv
+
+
+def test_ln_forward_matches_textbook(rng):
+    x, _ = padded_rows(rng)
+    g, b = rng.standard_normal(16), rng.standard_normal(16)
+    y, xhat, inv = enc._ln_forward(x, g, b)
+    xhat_ref, inv_ref = textbook_ln(x)
+    assert inv.shape == inv_ref.shape
+    assert close(xhat, xhat_ref) and close(inv, inv_ref)
+    assert close(y, g * xhat_ref + b)
+
+
+@pytest.mark.parametrize("dx_rows", [None, 1, 3])
+def test_ln_backward_matches_textbook(rng, dx_rows):
+    x, mask = padded_rows(rng)
+    g = rng.standard_normal(16)
+    _, xhat, inv = enc._ln_forward(x, g, np.zeros(16))
+    dy = rng.standard_normal(x.shape) * mask[..., None]
+    dx, dg, db = enc._ln_backward(dy, xhat, inv, g, dx_rows=dx_rows)
+    dxh = dy * g
+    dx_ref = inv * (
+        dxh
+        - dxh.mean(axis=-1, keepdims=True)
+        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
+    )
+    if dx_rows is not None:
+        dx_ref = dx_ref[:, :dx_rows]
+    assert dx.shape == dx_ref.shape and close(dx, dx_ref)
+    assert close(dg, (dy * xhat).sum(axis=(0, 1))) and close(db, dy.sum(axis=(0, 1)))
+    # the weight gradient of the map that follows the norm, from xhat
+    w_rows = rng.standard_normal((x.shape[0] * x.shape[1], 24))
+    y = g * xhat + 0.5
+    gw = enc._ln_weight_grad(xhat, g, np.full(16, 0.5), w_rows, w_rows.sum(axis=0))
+    assert close(gw, y.reshape(-1, 16).T @ w_rows)
+
+
+def test_softmax_matches_textbook(rng):
+    _, mask = padded_rows(rng, b=6, s=40)
+    bias = np.where(mask, 0.0, enc._MASKED_BIAS)[:, None, None, :]
+    scores = 30.0 * rng.standard_normal((6, 4, 40, 40))
+    z = 0.35 * scores + bias
+    ref = np.exp(z - z.max(axis=-1, keepdims=True))
+    ref /= ref.sum(axis=-1, keepdims=True)
+    probs = enc._softmax(scores.copy(), 0.35, bias)
+    assert close(probs, ref)
+    assert np.all(probs[np.broadcast_to(~mask[:, None, None, :], probs.shape)] == 0.0)
+    assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-15
+
+
+def test_scores_grad_matches_textbook(rng):
+    """dscores of every query row, the padded ones included."""
+    b, s, h, dh = 5, 12, 4, 8
+    _, mask = padded_rows(rng, b=b, s=s)
+    bias = np.where(mask, 0.0, enc._MASKED_BIAS)[:, None, None, :]
+    probs = enc._softmax(rng.standard_normal((b, h, s, s)), 1.0, bias)
+    v = rng.standard_normal((b, h, s, dh))
+    do = rng.standard_normal((b, s, h, dh))
+    o = (probs @ v).transpose(0, 2, 1, 3)
+    scale = 1.0 / np.sqrt(dh)
+    dscores = enc._scores_grad(do, o, v, probs, scale)
+    dprobs = do.transpose(0, 2, 1, 3) @ v.transpose(0, 1, 3, 2)
+    ref = scale * probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    assert close(dscores, ref)
+    padded_queries = np.broadcast_to(~mask[:, None, :, None], ref.shape)
+    assert np.any(ref[padded_queries] != 0.0)
+    assert close(dscores[padded_queries], ref[padded_queries])
+
+
+def test_gelu_grad_bit_identical_to_textbook(rng):
+    x = np.concatenate([
+        rng.standard_normal(4000) * 4.0,
+        [0.0, -0.0, 1e-300, -1e-300, 38.0, -38.0, 40.0, -40.0],
+    ])
+    phi = ndtr(x)
+    ref = phi + x * np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    assert enc.gelu_grad(x, phi).tobytes() == ref.tobytes()
