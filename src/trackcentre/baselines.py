@@ -13,8 +13,8 @@ pair's longer clip, so its memory is bounded by one group's activations.
 Frames are widened to float64 where the arithmetic starts: the averages
 sum in float64 and tsiam's frame table and the MLP's track input are
 float64 copies.
-Both pairwise modes train with ``vcl.OneCycleSGD``, the optimiser of vc, so
-all three methods share one schedule, sized from the epoch's drawn items.
+Both pairwise modes train through ``vcl.fit``, the epoch loop of vc, and
+best_sdbw scores the ``representations`` that the CLI clusters.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .constraints import CannotLinkMatrix, sample_pairs
 from .trackio import EmbeddingTrack, TrackSet
 from .vcl import (
     DIST_EPS,
-    OneCycleSGD,
     TrainConfig,
     TrainError,
     clips_of,
+    fit,
     sample_clip_consecutive,
     streamed_step,
 )
@@ -160,12 +160,13 @@ def track_representation_mlp(params: SiameseMlpParams, track: EmbeddingTrack):
     return out.mean(axis=0)
 
 
-def check_final_policy(cfg: TrainConfig) -> None:
-    """Pairwise training keeps its final model: any other checkpoint policy
-    raises TrainError naming it."""
-    if cfg.checkpoint_policy != "final":
-        raise TrainError(f"checkpoint policy {cfg.checkpoint_policy!r} is for vc only; "
-                         "pairwise training keeps the final model")
+def representations(params, tracks) -> np.ndarray:
+    """Track representations of an encoder, an mlp or (params None) avg."""
+    if isinstance(params, enc.EncoderParams):
+        return enc.forward_eval_batch(params, [t.embeddings for t in tracks])
+    if isinstance(params, SiameseMlpParams):
+        return np.stack([track_representation_mlp(params, t) for t in tracks])
+    return np.stack([temporal_average(t) for t in tracks])
 
 
 def train_pairwise(
@@ -181,11 +182,10 @@ def train_pairwise(
     "mlp": frame-level Siamese MLP (hidden width dim // 2) on the frame
     pairs of ``sample_pairs``.
     "transformer": clip-vs-clip training of the encoder head outputs.
-    Both return the final model; any other checkpoint policy raises
-    ``TrainError``.
+    Both train through ``vcl.fit``, so best_sdbw selects the epoch whose
+    ``representations`` score the lowest S_Dbw.
     """
     cfg = config
-    check_final_policy(cfg)
     tracks = trackset.tracks
     m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
@@ -252,12 +252,5 @@ def train_pairwise(
     if not have_negatives:
         warnings.warn("no cannot-links available; training with positives only")
 
-    opt = OneCycleSGD(params.tensors, cfg, rng)
-    history = []
-    for epoch in range(1, cfg.epochs + 1):
-        for batch in opt.batches(draw()):
-            losses, grads = step(batch)
-            opt.add_losses(losses)
-            opt.step(grads)
-        history.append(dict(epoch=epoch, mean_loss=opt.mean_loss, lr=opt.lr, sdbw=None))
-    return params, history
+    return fit(trackset, cfg, rng, params, draw, step,
+               lambda p: representations(p, tracks))

@@ -58,7 +58,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _train_config_from_args(args) -> vcl.TrainConfig:
     warmup = args.warmup_epochs
     if warmup is None:
-        warmup = max(1, round(args.epochs * 4 / 9))
+        warmup = round(args.epochs * 4 / 9)
     return vcl.TrainConfig(
         epochs=args.epochs,
         warmup_epochs=warmup,
@@ -93,13 +93,9 @@ def _run_training(method: str, trackset: TrackSet, train_cfg: vcl.TrainConfig,
     if method == "vc":
         params, _, history = vcl.train(trackset, n_matrix, enc_cfg, train_cfg)
         return params, history
-    if method == "ct":
-        return baselines.train_pairwise(
-            "transformer", trackset, n_matrix, train_cfg, encoder_config=enc_cfg
-        )
-    return baselines.train_pairwise(
-        "mlp", trackset, n_matrix, train_cfg, mlp_out_dim=enc_cfg.head_out_dim
-    )
+    kind = "transformer" if method == "ct" else "mlp"
+    return baselines.train_pairwise(kind, trackset, n_matrix, train_cfg, encoder_config=enc_cfg,
+                                    mlp_out_dim=enc_cfg.head_out_dim)
 
 
 def _save_model(path, params) -> None:
@@ -163,24 +159,13 @@ def _load_model(path, want: str, what: str, dim: int):
     return params
 
 
-def _representations(params, trackset: TrackSet) -> np.ndarray:
-    """Track representations of an encoder, an mlp or (params None) avg."""
-    if isinstance(params, enc.EncoderParams):
-        return enc.forward_eval_batch(params, [t.embeddings for t in trackset.tracks])
-    if isinstance(params, baselines.SiameseMlpParams):
-        return np.stack(
-            [baselines.track_representation_mlp(params, t) for t in trackset.tracks]
-        )
-    return np.stack([baselines.temporal_average(t) for t in trackset.tracks])
-
-
 METRIC_COLUMNS = ["video_id", "method", "k_pred", "k_true", "nmi", "wcp", "c_dif", "sdbw"]
 
 
 def _metrics_row(method, params, trackset, stop) -> dict:
     """Cluster the representations of ``params`` and score them; a metric
     that needs labels, or two clusters, is left empty without them."""
-    reps = _representations(params, trackset)
+    reps = baselines.representations(params, trackset.tracks)
     assign = hac(reps, linkage="average", stop=stop)
     labels = trackset.labels()
     have_labels = all(l is not None for l in labels)
@@ -276,10 +261,7 @@ def cmd_train(args) -> int:
     trackset = load_trackset(tracks_path)
     if not args.manifest:
         enc_cfg = _encoder_config_from_args(args, trackset.dim)
-    if method == "vc":
-        vcl.sdbw_identities(trackset, train_cfg)
-    else:
-        baselines.check_final_policy(train_cfg)
+    vcl.sdbw_identities(trackset, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "method": method,

@@ -1,5 +1,6 @@
 """Video-centralised learning: clip sampling, attract/repel losses, centre
-table maintenance, the training optimiser and the full training loop.
+table maintenance, the training optimiser and the epoch loop of every
+trained method.
 
 Each track owns a latent-space centre.  Clip representations are attracted
 to their own centre and repelled (hinge with margin g) from centres of
@@ -12,10 +13,11 @@ vc draws each epoch as one int64 array, one row
 (track, start, length, y, centre) per clip, and ct as rows of two clips;
 ``clips_of`` slices the frames of such rows.
 
-``OneCycleSGD`` is the one optimiser of vc and of both pairwise baselines
-(ct, tsiam): it shuffles and batches each epoch's drawn items, sizes the
-schedule from the first epoch's item count and applies the momentum and
-weight-decay update, so the three methods train under the same schedule.
+``fit`` is the one epoch loop of vc, ct and tsiam: it owns the optimiser,
+the history rows and the best_sdbw selection, and a method supplies its
+params, draw, batch step and representations.  ``OneCycleSGD``, that
+optimiser, shuffles and batches each epoch's drawn items and sizes the
+schedule from the first epoch's item count.
 
 ``streamed_step`` is the one training step of vc and ct: it runs a batch in
 groups of clips, each forwarded in the token-bounded chunks of
@@ -29,7 +31,7 @@ couples the two clips of a pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +74,6 @@ class TrainConfig:
     def __post_init__(self):
         positive = {
             "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
             "max_lr": self.max_lr,
             "batch_size": self.batch_size,
             "clip_cap": self.clip_cap,
@@ -89,8 +90,8 @@ class TrainConfig:
             raise TrainError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise TrainError("weight_decay must be >= 0")
-        if self.warmup_epochs >= self.epochs:
-            raise TrainError("warmup_epochs must be < epochs")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise TrainError(f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")
         if self.checkpoint_policy not in ("final", "best_sdbw"):
             raise TrainError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if self.clip_cap < 2:
@@ -368,6 +369,45 @@ def sdbw_identities(trackset: TrackSet, cfg: TrainConfig) -> int | None:
     return k
 
 
+def fit(trackset: TrackSet, cfg: TrainConfig, rng: np.random.Generator, params,
+        draw, step, represent, after_step=None, end_epoch=None):
+    """The epoch loop of vc, ct and tsiam; returns (selected params, history).
+
+    ``OneCycleSGD`` trains ``params.tensors`` in place, shuffling each
+    ``draw()`` with ``rng``; ``step(batch)`` returns a batch's per-item
+    losses and summed gradients.  The optional hooks ``after_step(lr)`` and
+    ``end_epoch(epoch)`` run after each update and after each history row
+    (dicts of epoch, mean_loss, lr, sdbw).  Under best_sdbw, sdbw scores
+    the average-linkage HAC of ``represent(params)`` into the tracks'
+    identities, and the params of the lowest-scoring epoch are returned.
+    """
+    sdbw_k = sdbw_identities(trackset, cfg)
+    opt = OneCycleSGD(params.tensors, cfg, rng)
+    history: list[dict] = []
+    best_sdbw, best_tensors = np.inf, None
+    for epoch in range(1, cfg.epochs + 1):
+        for batch in opt.batches(draw()):
+            losses, grads = step(batch)
+            opt.add_losses(losses)
+            lr = opt.step(grads)
+            if after_step is not None:
+                after_step(lr)
+        sdbw_val = None
+        if sdbw_k is not None:
+            reps = represent(params)
+            assign = hac(reps, linkage="average", stop=KnownK(sdbw_k))
+            sdbw_val = sdbw_index(reps, assign.as_array())
+            if sdbw_val < best_sdbw:
+                best_sdbw = sdbw_val
+                best_tensors = {n: t.copy() for n, t in params.tensors.items()}
+        history.append(dict(epoch=epoch, mean_loss=opt.mean_loss, lr=opt.lr, sdbw=sdbw_val))
+        if end_epoch is not None:
+            end_epoch(epoch)
+    if best_tensors is not None:
+        params = replace(params, tensors=best_tensors)
+    return params, history
+
+
 def train(
     trackset: TrackSet,
     n_matrix: CannotLinkMatrix,
@@ -375,76 +415,55 @@ def train(
     train_config: TrainConfig,
     on_epoch_end=None,
 ):
-    """Run the two-step iterative optimisation and return
+    """Run the two-step iterative optimisation through ``fit`` and return
     (selected EncoderParams, CentreTable, history rows).
 
-    History rows are dicts with keys epoch, mean_loss, lr, sdbw (sdbw is
-    None unless checkpoint_policy == "best_sdbw").  ``on_epoch_end``, if
-    given, is called as on_epoch_end(epoch, params, centre_table) after
-    any scheduled centre recompute.
+    Each batch's centre updates follow its parameter update, at eta = p * lr.
+    ``on_epoch_end``, if given, is called as on_epoch_end(epoch, params,
+    centre_table) after any scheduled centre recompute.
     """
     cfg = train_config
-    sdbw_k = sdbw_identities(trackset, cfg)
     tracks = trackset.tracks
-    m = len(tracks)
     rng = np.random.default_rng(cfg.seed)
     params = enc.init_params(encoder_config, rng)
-    opt = OneCycleSGD(params.tensors, cfg, rng)
-
-    partner_lists = [n_matrix.partners(i) for i in range(m)]
+    partner_lists = [n_matrix.partners(i) for i in range(len(tracks))]
     if not n_matrix.any_links():
         warnings.warn("no cannot-links available; training with attract samples only")
-
     table = init_centres(params, trackset)
-    history: list[dict] = []
-    best_sdbw = np.inf
-    best_tensors = None
+    moved = None  # (centre rows, z, y) of the batch just stepped
 
-    for epoch in range(1, cfg.epochs + 1):
-        for batch in opt.batches(_draw_samples(tracks, partner_lists, cfg, rng)):
-            ys, ci = batch[:, 3], batch[:, 4]
-            centres = table.centres[ci]
-            losses = np.empty(len(batch))
+    def step(batch):
+        nonlocal moved
+        ys, ci = batch[:, 3], batch[:, 4]
+        centres = table.centres[ci]
+        losses = np.empty(len(batch))
 
-            def loss(idx, z):
-                losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], cfg.margin)
-                return gz / len(batch)
+        def loss(idx, z):
+            losses[idx], gz = _batch_loss_and_gradz(z, centres[idx], ys[idx], cfg.margin)
+            return gz / len(batch)
 
-            # One chunk per group: the vc loss of a clip involves that clip
-            # alone.
-            groups = enc.token_chunks(batch[:, 2], enc.CHUNK_TOKENS)
-            z_batch, grads = streamed_step(params, clips_of(tracks, batch), groups, loss)
-            opt.add_losses(losses)
-            lr = opt.step(grads)
+        # One chunk per group: the vc loss of a clip involves that clip alone.
+        groups = enc.token_chunks(batch[:, 2], enc.CHUNK_TOKENS)
+        z_batch, grads = streamed_step(params, clips_of(tracks, batch), groups, loss)
+        moved = (ci, z_batch, ys)
+        return losses, grads
 
-            _update_centres(table.centres, ci, z_batch, ys,
-                            cfg.centre_lr_factor * lr, cfg.margin)
+    def after_step(lr):
+        _update_centres(table.centres, *moved, cfg.centre_lr_factor * lr, cfg.margin)
 
+    def end_epoch(epoch):
+        nonlocal table
         if epoch % cfg.centre_recompute_interval == 0:
             table = init_centres(params, trackset)
-
-        sdbw_val = None
-        if cfg.checkpoint_policy == "best_sdbw":
-            reps = enc.forward_eval_batch(params, [t.embeddings for t in tracks])
-            assign = hac(reps, linkage="average", stop=KnownK(sdbw_k))
-            sdbw_val = sdbw_index(reps, assign.as_array())
-            if sdbw_val < best_sdbw:
-                best_sdbw = sdbw_val
-                best_tensors = {n: t.copy() for n, t in params.tensors.items()}
-
-        history.append(
-            dict(
-                epoch=epoch,
-                mean_loss=opt.mean_loss,
-                lr=opt.lr,
-                sdbw=sdbw_val,
-            )
-        )
         if on_epoch_end is not None:
             on_epoch_end(epoch, params, table)
 
-    if cfg.checkpoint_policy == "best_sdbw" and best_tensors is not None:
-        params = enc.EncoderParams(config=params.config, tensors=best_tensors)
+    params, history = fit(
+        trackset, cfg, rng, params,
+        lambda: _draw_samples(tracks, partner_lists, cfg, rng), step,
+        lambda p: enc.forward_eval_batch(p, [t.embeddings for t in tracks]),
+        after_step, end_epoch,
+    )
     return params, table, history
 
 

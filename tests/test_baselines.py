@@ -13,7 +13,7 @@ from trackcentre import (
     temporal_average,
     train_pairwise,
 )
-from trackcentre import baselines
+from trackcentre import baselines, vcl
 from trackcentre.baselines import (
     SiameseMlpParams,
     _pair_loss_grads,
@@ -154,15 +154,34 @@ def test_transformer_mode_requires_config(separable_trackset):
         train_pairwise("transformer", separable_trackset, n, baseline_config())
 
 
-@pytest.mark.parametrize("kind", ["mlp", "transformer"])
-def test_pairwise_rejects_best_sdbw_policy(separable_trackset, kind):
-    """Pairwise training keeps its final model, so a request for the best
-    epoch by S_Dbw fails instead of being ignored."""
-    ts = separable_trackset
-    cfg = dataclasses.replace(baseline_config(), checkpoint_policy="best_sdbw")
+@pytest.mark.parametrize("kind, best_epoch", [("mlp", 3), ("transformer", 2)],
+                         ids=["tsiam", "ct"])
+def test_pairwise_best_sdbw_keeps_lowest_sdbw_epoch(kind, best_epoch):
+    """Under best_sdbw, tsiam and ct return the params of their
+    lowest-S_Dbw epoch, here not the last: the same trajectory as under the
+    final policy, but a different model, whose representations score the
+    history's lowest sdbw."""
+    from trackcentre import KnownK, SyntheticSpec, generate_synthetic, hac, sdbw
+
+    ts = generate_synthetic(SyntheticSpec(
+        identity_count=3, tracks_per_identity=6, dim=8, distractor_prob=0.3,
+        distractor_scale=1.0, cooccurrence_density=0.1, seed=1,
+    ))
+    n = derive_cannot_links(ts)
+    cfg = TrainConfig(epochs=6, warmup_epochs=2, max_lr=0.5, batch_size=64,
+                      attract_per_track=4, repel_per_track=4, seed=0)
     enc_cfg = EncoderConfig(model_dim=ts.dim, heads=2, layers=1)
-    with pytest.raises(TrainError, match="checkpoint policy 'best_sdbw' is for vc only"):
-        train_pairwise(kind, ts, derive_cannot_links(ts), cfg, encoder_config=enc_cfg)
+    final, final_history = train_pairwise(kind, ts, n, cfg, encoder_config=enc_cfg)
+    best, history = train_pairwise(
+        kind, ts, n, dataclasses.replace(cfg, checkpoint_policy="best_sdbw"),
+        encoder_config=enc_cfg,
+    )
+    sdbws = [row["sdbw"] for row in history]
+    assert int(np.argmin(sdbws)) + 1 == best_epoch < cfg.epochs
+    assert [{**row, "sdbw": None} for row in history] == final_history
+    assert not all(np.array_equal(best.tensors[k], final.tensors[k]) for k in best.tensors)
+    reps = baselines.representations(best, ts.tracks)
+    assert sdbw(reps, hac(reps, linkage="average", stop=KnownK(3)).as_array()) == min(sdbws)
 
 
 def test_mlp_mode_separable_end_to_end(separable_trackset):
@@ -314,7 +333,7 @@ def test_one_pass_pair_step_matches_two_pass_reference(monkeypatch, kind):
         return _pair_loss_grads(zi, zj, ys, g)
 
     monkeypatch.setattr(baselines, "_pair_loss_grads", spy)
-    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    monkeypatch.setattr(vcl, "OneCycleSGD", RecordingSGD)
     if kind == "mlp":
         train_pairwise("mlp", ts, n_matrix, cfg)
     else:
@@ -402,7 +421,7 @@ def test_ct_forwards_at_most_one_group_before_backward(monkeypatch):
 
     monkeypatch.setattr(enc, "forward_train_batch", counting_forward)
     monkeypatch.setattr(enc, "backward", counting_backward)
-    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    monkeypatch.setattr(vcl, "OneCycleSGD", RecordingSGD)
     enc_cfg = EncoderConfig(model_dim=8, heads=2, layers=1, head_out_dim=2)
     train_pairwise("transformer", ts, n_matrix, cfg, encoder_config=enc_cfg)
     assert min(len(batch) for batch, *_ in RecordingSGD.last.seen) > 128
@@ -431,7 +450,7 @@ def test_tsiam_evaluates_gelu_gate_once_per_batch(monkeypatch):
     spy_on(enc)
     if hasattr(baselines, "ndtr"):
         spy_on(baselines)
-    monkeypatch.setattr(baselines, "OneCycleSGD", RecordingSGD)
+    monkeypatch.setattr(vcl, "OneCycleSGD", RecordingSGD)
     train_pairwise("mlp", ts, n_matrix, cfg)
     assert len(RecordingSGD.last.seen) == 4
     assert len(counted) == 4

@@ -93,9 +93,10 @@ def test_train_eval_pipeline(tracks_path, tmp_path):
     assert 0.0 < float(row["wcp"]) <= 1.0
 
 
-def test_train_manifest_reproduction(tracks_path, tmp_path):
+def assert_manifest_reproduces(tracks_path, tmp_path, method, extra=()):
+    """A run's manifest reproduces its checkpoint and history byte for byte."""
     out1 = tmp_path / "r1"
-    assert run(train_args(tracks_path, out1, epochs=5)) == 0
+    assert run(train_args(tracks_path, out1, method=method, epochs=5, extra=extra)) == 0
     manifest = json.loads((out1 / "run_manifest.json").read_text())
     manifest["out_dir"] = str(tmp_path / "r2")
     mpath = tmp_path / "repro.json"
@@ -107,6 +108,31 @@ def test_train_manifest_reproduction(tracks_path, tmp_path):
     assert (out1 / "history.csv").read_bytes() == (
         tmp_path / "r2" / "history.csv"
     ).read_bytes()
+
+
+def test_train_manifest_reproduction(tracks_path, tmp_path):
+    assert_manifest_reproduces(tracks_path, tmp_path, "vc")
+
+
+@pytest.mark.parametrize("method, policy", [
+    ("ct", "final"), ("tsiam", "final"),
+    ("vc", "best_sdbw"), ("ct", "best_sdbw"), ("tsiam", "best_sdbw"),
+])
+def test_train_manifest_reproduction_of_every_method(tracks_path, tmp_path, method, policy):
+    assert_manifest_reproduces(tracks_path, tmp_path, method,
+                               ["--checkpoint-policy", policy])
+
+
+@pytest.mark.parametrize("method", ["vc", "ct", "tsiam"])
+def test_train_single_epoch(tracks_path, tmp_path, method):
+    """Without --warmup-epochs, one epoch trains with no warm-up and writes
+    one history row."""
+    out = tmp_path / method
+    assert run(["train", "--tracks", tracks_path, "--method", method, "--out", out,
+                "--epochs", 1, "--batch-size", 64, "--layers", 1, "--heads", 2]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())[
+        "train_config"]["warmup_epochs"] == 0
+    assert [row["epoch"] for row in read_csv(out / "history.csv")] == ["1"]
 
 
 @pytest.mark.parametrize("key", ["method", "tracks", "train_config", "encoder_config",
@@ -349,25 +375,14 @@ def test_train_manifest_of_untrainable_method_writes_nothing(tracks_path, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["ct", "tsiam"])
-def test_pairwise_methods_reject_best_sdbw(tracks_path, tmp_path, capsys, method):
-    """best_sdbw keeps vc's best epoch; ct and tsiam have no such policy and
-    fail, before writing anything, instead of training under a policy their
-    manifest would misreport."""
-    out = tmp_path / method
-    assert run(train_args(tracks_path, out, method=method, epochs=2,
-                          extra=["--checkpoint-policy", "best_sdbw"])) == 1
-    assert "checkpoint policy 'best_sdbw' is for vc only" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("labels, message", [
+NO_IDENTITIES = [
     ((None, None, None), "best_sdbw checkpoint policy requires labeled tracks"),
     ((1, 1, 1), "best_sdbw checkpoint policy needs >= 2 identities"),
-], ids=["unlabeled", "one-identity"])
-def test_vc_best_sdbw_without_identities_writes_nothing(tmp_path, rng, capsys,
-                                                        labels, message):
-    """vc's best_sdbw policy clusters into the tracks' identities: without
+]
+
+
+def assert_best_sdbw_refused(tmp_path, rng, capsys, method, labels, message):
+    """The best_sdbw policy clusters into the tracks' identities: without
     labels, or with one identity, train exits 1 before writing anything."""
     from trackcentre import EmbeddingTrack, TrackSet
 
@@ -377,17 +392,32 @@ def test_vc_best_sdbw_without_identities_writes_nothing(tmp_path, rng, capsys,
     )
     path = tmp_path / "tracks"
     save_trackset(TrackSet(tracks=tracks, dim=4, video_id="v"), path)
-    out = tmp_path / "vc"
-    assert run(train_args(path, out, epochs=2,
+    out = tmp_path / method
+    assert run(train_args(path, out, method=method, epochs=2,
                           extra=["--checkpoint-policy", "best_sdbw"])) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_compare_rejects_best_sdbw(tracks_path, tmp_path, capsys):
+@pytest.mark.parametrize("labels, message", NO_IDENTITIES, ids=["unlabeled", "one-identity"])
+def test_vc_best_sdbw_without_identities_writes_nothing(tmp_path, rng, capsys,
+                                                        labels, message):
+    assert_best_sdbw_refused(tmp_path, rng, capsys, "vc", labels, message)
+
+
+@pytest.mark.parametrize("method", ["ct", "tsiam"])
+@pytest.mark.parametrize("labels, message", NO_IDENTITIES, ids=["unlabeled", "one-identity"])
+def test_pairwise_best_sdbw_without_identities_writes_nothing(tmp_path, rng, capsys,
+                                                              labels, message, method):
+    assert_best_sdbw_refused(tmp_path, rng, capsys, method, labels, message)
+
+
+def test_compare_best_sdbw(tracks_path, tmp_path):
+    """compare trains every method under best_sdbw and writes its four rows."""
     out = tmp_path / "cmp.csv"
-    assert run(["compare", "--tracks", tracks_path, "--out", out, "--epochs", 2,
+    assert run(["compare", "--tracks", tracks_path, "--out", out, "--epochs", 3,
                 "--batch-size", 64, "--layers", 1, "--heads", 2,
-                "--checkpoint-policy", "best_sdbw"]) == 1
-    assert "checkpoint policy 'best_sdbw' is for vc only" in capsys.readouterr().err
-    assert not out.exists()
+                "--checkpoint-policy", "best_sdbw"]) == 0
+    rows = read_csv(out)
+    assert [r["method"] for r in rows] == ["avg", "tsiam", "ct", "vc"]
+    assert all(0.0 <= float(r["nmi"]) <= 1.0 for r in rows)

@@ -354,6 +354,9 @@ def test_optimiser_rejects_non_finite():
 def test_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(epochs=10, warmup_epochs=10)
+    assert TrainConfig(epochs=1, warmup_epochs=0).warmup_epochs == 0
+    with pytest.raises(TrainError, match="warmup_epochs"):
+        TrainConfig(epochs=10, warmup_epochs=-1)
     with pytest.raises(TrainError):
         TrainConfig(momentum=1.0)
     with pytest.raises(TrainError):
